@@ -10,11 +10,13 @@ The substrate a protocol runs on is described by a
 :class:`~repro.congest.model.NetworkModel`: the default is the paper's
 synchronous fault-free rounds; ``mode="async"`` dispatches the same
 protocols onto the event-queue :class:`~repro.congest.async_engine.
-AsyncNetwork` (per-edge latency distributions, message loss and
-reordering via a :class:`~repro.congest.faults.FaultPlan`, node churn).
+AsyncNetwork`, a ``Network`` subclass adding per-edge latency
+distributions, reordering and node churn.  Both engines apply a
+:class:`~repro.congest.faults.FaultPlan` through one
+:class:`~repro.congest.faults.FaultInjector` adversary.
 """
 
-from repro.congest.async_engine import AsyncAdversary, AsyncNetwork
+from repro.congest.async_engine import AsyncNetwork
 from repro.congest.errors import (
     BandwidthExceededError,
     CongestError,
@@ -33,7 +35,6 @@ from repro.congest.node import Context, Protocol
 __all__ = [
     "Network",
     "AsyncNetwork",
-    "AsyncAdversary",
     "NetworkModel",
     "LatencySpec",
     "FaultPlan",

@@ -1,8 +1,9 @@
 """The asynchronous event-queue network engine (``engine="async"``).
 
 The synchronous :class:`~repro.congest.network.Network` advances a
-global round counter in lockstep; this engine replaces the round loop
-with a discrete-event simulation on a virtual clock:
+global round counter in lockstep; :class:`AsyncNetwork` subclasses it
+and replaces the round loop with a discrete-event simulation on a
+virtual clock:
 
 * a heap-ordered event queue holds message deliveries, wake-ups, and
   control events (crashes, joins), each stamped with a float time;
@@ -10,25 +11,24 @@ with a discrete-event simulation on a virtual clock:
   (:class:`~repro.congest.model.LatencySpec`): a message sent at time
   ``t`` is delivered at ``t + delay``, so messages *reorder* whenever
   two delays cross;
-* a :class:`~repro.congest.faults.FaultPlan` adversary can drop
+* the network's :class:`~repro.congest.faults.FaultInjector` can drop
   messages and crash-stop nodes, and a churn schedule can crash or
   late-join nodes at arbitrary virtual times.
 
-The *same* :class:`~repro.congest.node.Protocol` objects run unchanged:
-the engine duck-types the ``Network`` surface the
-:class:`~repro.congest.node.Context` uses (``_enqueue`` /
-``_edge_free`` / ``_schedule_wake`` / ``round_index``), activates a
-node whenever messages or a wake-up arrive for it, and enforces the
-CONGEST rules per activation (one message per directed edge, the bit
-budget).  ``ctx.round_index`` reads as ``floor(virtual time)``, so the
+Everything else is the shared core in ``Network``: per-node contexts
+and RNG streams, the CONGEST send rules (one message per directed edge
+per activation, the bit budget) and their accounting, wake-up
+validation, activation order, the memory audit and the substrate
+report.  The *same* :class:`~repro.congest.node.Protocol` objects run
+unchanged.  ``ctx.round_index`` reads as ``floor(virtual time)``, so the
 round-indexed deadlines synchronous protocols compute stay meaningful.
 
 **Synchronous parity.**  With unit latency, no faults, and no churn,
 the event queue degenerates into rounds: all deliveries land on
-integer times, simultaneous events are batched, inboxes are sorted by
-sender and nodes activated in id order — exactly the synchronous
-schedule, with identical per-node RNG streams.  ``tests/
-test_async_engine.py`` pins seed-for-seed equality for all four
+integer times, simultaneous events are batched, and the shared
+activation step runs nodes in id order with inboxes sorted by sender —
+exactly the synchronous schedule, with identical per-node RNG streams.
+``tests/test_async_engine.py`` pins seed-for-seed equality for all four
 congest algorithms; the registry gate requires it of every
 ``async_capable`` engine entry.
 
@@ -49,166 +49,48 @@ from typing import Callable
 
 import numpy as np
 
-from repro.congest.errors import (
-    BandwidthExceededError,
-    DuplicateSendError,
-    NotANeighborError,
-    RoundLimitExceeded,
-)
-from repro.congest.faults import FaultPlan
-from repro.congest.message import Message, payload_bits, word_bits
+from repro.congest.message import Message
 from repro.congest.metrics import Metrics
-from repro.congest.model import NetworkModel
-from repro.congest.network import DEFAULT_BANDWIDTH_WORDS
-from repro.congest.node import Context, Protocol
-from repro.graphs.adjacency import Graph
+from repro.congest.network import Network
 
-__all__ = ["AsyncNetwork", "AsyncAdversary"]
+__all__ = ["AsyncNetwork"]
 
 #: Event priorities within one instant: control events (crashes,
 #: joins) apply before any delivery or wake-up at the same time —
-#: mirroring the synchronous engine, where the fault filter crashes
-#: nodes before building the round's inboxes.
+#: mirroring the synchronous engine, which applies a round's crashes
+#: before building its inboxes.
 _PRIO_CONTROL = 0
 _PRIO_EVENT = 1
 
 
-class AsyncAdversary:
-    """The fault-plan adversary in event time.
-
-    The synchronous :class:`~repro.congest.faults.FaultInjector` filters
-    whole rounds; here drop decisions happen per message at send time
-    (same plan semantics: windows and crash rounds compare against the
-    message's *delivery* round, ``floor`` of its delivery time).  The
-    counters and :meth:`summary` schema match the injector's, so
-    ``detail["faults"]`` reads identically across engines.
-    """
-
-    def __init__(self, plan: FaultPlan):
-        self.plan = plan
-        self.offered = 0
-        self.dropped = 0
-        self.crashed: set[int] = set()
-        self._rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
-
-    def offer(self, src: int, dst: int, deliver_time: float) -> bool:
-        """Count one send; True if the adversary eats the message."""
-        self.offered += 1
-        if src in self.crashed or dst in self.crashed:
-            self.dropped += 1
-            return True
-        delivery_round = int(deliver_time)
-        in_window = (self.plan.window is None
-                     or self.plan.window[0] <= delivery_round <= self.plan.window[1])
-        if in_window and self._link_dead(src, dst):
-            self.dropped += 1
-            return True
-        if (in_window and self.plan.drop_probability > 0.0
-                and self._rng.random() < self.plan.drop_probability):
-            self.dropped += 1
-            return True
-        return False
-
-    def drop_in_flight(self) -> None:
-        """Count a message lost between send and delivery (late crash)."""
-        self.dropped += 1
-
-    def _link_dead(self, src: int, dst: int) -> bool:
-        if not self.plan.dead_links:
-            return False
-        key = (src, dst) if src < dst else (dst, src)
-        return key in self.plan.dead_links
-
-    def summary(self) -> dict[str, float]:
-        """Injection counters, same schema as ``FaultInjector.summary``."""
-        return {
-            "offered": float(self.offered),
-            "dropped": float(self.dropped),
-            "drop_rate": self.dropped / self.offered if self.offered else 0.0,
-            "crashed_nodes": float(len(self.crashed)),
-        }
-
-
-class AsyncNetwork:
+class AsyncNetwork(Network):
     """A lossy asynchronous network running synchronous-style protocols.
 
-    Parameters mirror :class:`~repro.congest.network.Network` plus a
-    :class:`~repro.congest.model.NetworkModel` carrying the async
-    substrate (latency distribution, fault plan, churn schedule, the
-    substrate seed).  ``record_events=True`` keeps a full event trace
-    in ``self.events`` for determinism tests and debugging.
+    Takes the :class:`~repro.congest.network.Network` parameters; its
+    :class:`~repro.congest.model.NetworkModel` (``mode="async"``, the
+    default) also carries the latency distribution, churn schedule and
+    substrate seed.  ``record_events=True`` keeps a full event trace in
+    ``self.events`` for determinism tests and debugging.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        protocol_factory: Callable[[int], Protocol],
-        *,
-        seed: int = 0,
-        model: NetworkModel | None = None,
-        bandwidth_words: int = DEFAULT_BANDWIDTH_WORDS,
-        audit_memory: bool = False,
-        audit_every: int = 64,
-        record_events: bool = False,
-    ):
-        self.graph = graph
-        self.n = graph.n
-        self.model = (model if model is not None
-                      else NetworkModel(mode="async"))
-        if not self.model.is_async():
-            raise ValueError("AsyncNetwork needs a NetworkModel with "
-                             "mode='async'")
-        self.round_index = 0
+    mode = "async"
+    engine = "async"
+
+    def __init__(self, graph, protocol_factory, *, record_events: bool = False,
+                 **kwargs):
+        super().__init__(graph, protocol_factory, **kwargs)
         self.virtual_time = 0.0
-        self._word_bits = word_bits(self.n)
-        self._bandwidth_bits = 8 + bandwidth_words * self._word_bits
-        self._audit_memory = audit_memory
-        self._audit_every = max(1, audit_every)
-        self._last_audit = 0
-
-        # Same per-node RNG tree as the synchronous engine — the parity
-        # contract depends on node v drawing the identical stream.
-        seeds = np.random.SeedSequence(seed).spawn(self.n)
-        self.protocols: list[Protocol] = []
-        self._contexts: list[Context] = []
-        for v in range(self.n):
-            proto = protocol_factory(v)
-            ctx = Context(self, v, graph.neighbor_list(v),
-                          np.random.default_rng(seeds[v]))
-            self.protocols.append(proto)
-            self._contexts.append(ctx)
-
-        #: Sync-engine observer slots, present so hooks written against
-        #: ``Network`` fail loudly instead of silently doing nothing:
-        #: :meth:`run` refuses to start if either was set.
-        self.round_observer = None
-        self.delivery_filter = None
-
-        self.metrics = Metrics(
-            sent_per_node=np.zeros(self.n, dtype=np.int64),
-            peak_state_words=np.zeros(self.n, dtype=np.int64),
-            memory_audited=audit_memory,
-        )
-        self.adversary = (AsyncAdversary(self.model.fault_plan)
-                          if self.model.fault_plan is not None else None)
 
         # Event machinery.
         self._queue: list[tuple] = []  # (time, prio, seq, kind, data)
         self._seq = 0
         self._send_seq = 0
-        self._now = 0.0
-        self._edges_used: set[tuple[int, int]] = set()  # current activation
-        self._wake_scheduled: set[tuple[int, float]] = set()
         self._edge_rngs: dict[tuple[int, int], np.random.Generator] = {}
         self._edge_last_seq: dict[tuple[int, int], int] = {}
 
         # Churn schedule: earliest join per node defers its start.
         self._join_at: dict[int, float] = {}
         for action, node, time in self.model.churn:
-            if node >= self.n:
-                raise ValueError(
-                    f"churn event names node {node} but the graph has "
-                    f"{self.n} nodes")
             if action == "join":
                 self._join_at.setdefault(node, time)
         self._started = [v not in self._join_at for v in range(self.n)]
@@ -220,63 +102,31 @@ class AsyncNetwork:
         self._dropped = 0
         self._undeliverable = 0
         self._reordered = 0
-        self._activations = 0
         self._depth = [0] * self.n  # Lamport depth: longest causal chain
         self._max_depth = 0
         self._protocol_errors: list[tuple[int, str]] = []
-        self._limited = False
         self.events: list[tuple] | None = [] if record_events else None
 
-    # -- internal API used by Context (duck-types Network) ---------------------
+    # -- the event-time halves of the shared send/wake API ----------------------
 
-    def _enqueue(self, src: int, dst: int, payload: tuple) -> None:
-        ctx = self._contexts[src]
-        if not ctx.is_neighbor(dst):
-            raise NotANeighborError(f"node {src} is not adjacent to {dst}")
-        key = (src, dst)
-        if key in self._edges_used:
-            raise DuplicateSendError(
-                f"node {src} sent twice over edge ({src}, {dst}) in round "
-                f"{self.round_index}; pack fields into one message"
-            )
-        bits = payload_bits(payload, self.n)
-        if bits > self._bandwidth_bits:
-            raise BandwidthExceededError(
-                f"message {payload[0]!r} needs {bits} bits but the edge budget "
-                f"is {self._bandwidth_bits} bits"
-            )
-        self._edges_used.add(key)
-        self.metrics.messages += 1
-        self.metrics.bits += bits
-        self.metrics.sent_per_node[src] += 1
-        deliver_at = self._now + self._latency(src, dst)
-        if self.adversary is not None and self.adversary.offer(src, dst,
-                                                               deliver_at):
+    def _post(self, src: int, dst: int, payload: tuple) -> None:
+        deliver_at = self.virtual_time + self._latency(src, dst)
+        if self.adversary is not None and self.adversary.offer(
+                src, dst, int(deliver_at)):
             self._dropped += 1
             if self.events is not None:
-                self.events.append(("drop", self._now, src, dst, payload[0]))
+                self.events.append(("drop", self.virtual_time, src, dst,
+                                    payload[0]))
             return
-        depth = self._depth[src] + 1
         self._push(deliver_at, _PRIO_EVENT, "deliver",
-                   (src, dst, payload, depth, self._send_seq))
+                   (src, dst, payload, self._depth[src] + 1, self._send_seq))
         self._send_seq += 1
 
-    def _edge_free(self, src: int, dst: int) -> bool:
-        return (src, dst) not in self._edges_used
-
     def _schedule_wake(self, node: int, round_index: int) -> None:
-        if round_index <= self.round_index:
-            raise ValueError(
-                f"wake-up for node {node} must be in the future "
-                f"(requested {round_index} at round {self.round_index})"
-            )
-        when = float(round_index)
-        if (node, when) in self._wake_scheduled:
+        if node in self._wakes.get(round_index, ()):
             return  # the synchronous engine coalesces per-round wakes too
-        self._wake_scheduled.add((node, when))
-        self._push(when, _PRIO_EVENT, "wake", node)
-
-    # -- event plumbing --------------------------------------------------------
+        super()._schedule_wake(node, round_index)
+        self._push(float(round_index), _PRIO_EVENT, "wake", node)
 
     def _push(self, time: float, prio: int, kind: str, data) -> None:
         heapq.heappush(self._queue, (time, prio, self._seq, kind, data))
@@ -315,14 +165,19 @@ class AsyncNetwork:
         ``raise_on_limit`` is false) — exactly the synchronous
         contract.
         """
-        if self.round_observer is not None or self.delivery_filter is not None:
+        if self.round_observer is not None:
             raise ValueError(
-                "round_observer/delivery_filter are synchronous-engine "
-                "observers; the async engine takes faults from the "
-                "NetworkModel and records an event trace instead")
-        self.round_index = 0
-        self._now = 0.0
-        if self.model.fault_plan is not None:
+                "round_observer is a synchronous-engine observer; the "
+                "async engine takes faults from the NetworkModel and "
+                "records an event trace instead")
+        self.virtual_time = 0.0
+        self._time_limit = float(max_rounds) * max(1.0, self.model.latency.mean())
+        self._activation_cap = 4 * (self.n + 4) * max(1, max_rounds)
+        return super().run(max_rounds=max_rounds, until=until,
+                           raise_on_limit=raise_on_limit)
+
+    def _start(self) -> None:
+        if self.adversary is not None:
             for node, crash_at in sorted(self.model.fault_plan.crash_rounds.items()):
                 self._push(float(crash_at), _PRIO_CONTROL, "crash", node)
         for action, node, time in self.model.churn:
@@ -332,53 +187,33 @@ class AsyncNetwork:
                 self._push(time, _PRIO_CONTROL, "join", node)
         for v in range(self.n):
             if self._started[v]:
-                self._activate_start(v)
-        self._maybe_audit(force=True)
+                self._call(v, self.protocols[v].on_start, self._contexts[v])
 
-        time_limit = float(max_rounds) * max(1.0, self.model.latency.mean())
-        activation_cap = 4 * (self.n + 4) * max(1, max_rounds)
-        limited = False
-        while self._queue:
-            if self._all_halted() or (until is not None and until(self)):
-                break
-            when = self._queue[0][0]
-            if when > time_limit or self._activations >= activation_cap:
-                limited = True
-                break
-            self._now = when
-            self.round_index = int(when)
-            self.virtual_time = when
-            self._process_batch(self._pop_batch(when))
-            self._maybe_audit()
+    def _pending(self) -> bool:
+        return bool(self._queue)
 
-        self._limited = limited
-        if limited and raise_on_limit:
-            raise RoundLimitExceeded(
-                f"protocol did not quiesce within the watchdog budget "
-                f"(max_rounds={max_rounds}, virtual time limit "
-                f"{time_limit:g})")
-        self.metrics.rounds = self.round_index
-        self._maybe_audit(force=True)
-        return self.metrics
+    def _over_budget(self, max_rounds: int) -> bool:
+        return (self._queue[0][0] > self._time_limit
+                or self._activations >= self._activation_cap)
 
-    def _pop_batch(self, when: float) -> list[tuple]:
-        batch = []
-        while self._queue and self._queue[0][0] == when:
-            batch.append(heapq.heappop(self._queue))
-        return batch
-
-    def _process_batch(self, batch: list[tuple]) -> None:
+    def _step(self) -> None:
         """Apply one instant: control events, then deliveries/wake-ups.
 
-        Simultaneous events batch into one activation per node with the
-        inbox sorted by sender — under unit latency this *is* the
+        Simultaneous events batch into one activation per node (the
+        shared :meth:`_activate`) — under unit latency this *is* the
         synchronous round schedule, which is what makes zero-latency
         parity exact rather than approximate.
         """
+        when = self._queue[0][0]
+        self.virtual_time = when
+        self.round_index = int(when)
+        batch = []
+        while self._queue and self._queue[0][0] == when:
+            batch.append(heapq.heappop(self._queue))
         inboxes: dict[int, list[Message]] = {}
         depths: dict[int, int] = {}
         wakes: set[int] = set()
-        for when, _prio, _seq, kind, data in batch:
+        for _when, _prio, _seq, kind, data in batch:
             if kind == "crash":
                 self._crash(data, self.adversary.crashed)
             elif kind == "churn-crash":
@@ -386,26 +221,17 @@ class AsyncNetwork:
             elif kind == "join":
                 self._join(data)
             elif kind == "wake":
-                self._wake_scheduled.discard((data, when))
+                self._wakes.pop(self.round_index, None)
                 if self._started[data] and not self._contexts[data].halted:
                     wakes.add(data)
                     if self.events is not None:
                         self.events.append(("wake", when, data))
             elif kind == "deliver":
                 self._deliver(when, data, inboxes, depths)
-        active = set(inboxes)
-        active.update(wakes)
-        for v in sorted(active):
-            ctx = self._contexts[v]
-            if ctx.halted:
-                continue  # crash-stopped by a control event this instant
-            inbox = inboxes.get(v, [])
-            inbox.sort(key=lambda msg: msg.sender)
-            if v in depths:
-                self._depth[v] = max(self._depth[v], depths[v])
-            self._edges_used.clear()
-            self._activations += 1
-            self._run_protocol(v, self.protocols[v].on_round, ctx, inbox)
+        for v, depth in depths.items():
+            if depth > self._depth[v]:
+                self._depth[v] = depth
+        self._activate(inboxes, wakes)
 
     def _deliver(self, when: float, data, inboxes, depths) -> None:
         src, dst, payload, depth, send_seq = data
@@ -413,7 +239,7 @@ class AsyncNetwork:
                                            or dst in self.adversary.crashed):
             # Crashed between send and delivery: the in-flight message
             # is lost, counted against the adversary like the
-            # synchronous filter does.
+            # synchronous engine does.
             self.adversary.drop_in_flight()
             self._dropped += 1
             return
@@ -437,14 +263,9 @@ class AsyncNetwork:
                                 send_seq))
 
     def _crash(self, node: int, registry: set[int]) -> None:
-        ctx = self._contexts[node]
-        if node in registry or ctx.halted:
-            registry.add(node)
-            return
-        registry.add(node)
-        ctx.halted = True
-        if self.events is not None:
-            self.events.append(("crash", self._now, node))
+        if not self._contexts[node].halted and self.events is not None:
+            self.events.append(("crash", self.virtual_time, node))
+        super()._crash(node, registry)
 
     def _join(self, node: int) -> None:
         if self._started[node] or self._contexts[node].halted:
@@ -452,16 +273,15 @@ class AsyncNetwork:
         self._started[node] = True
         self._churn_joined += 1
         if self.events is not None:
-            self.events.append(("join", self._now, node))
-        self._activate_start(node)
+            self.events.append(("join", self.virtual_time, node))
+        self._call(node, self.protocols[node].on_start, self._contexts[node])
 
-    def _activate_start(self, v: int) -> None:
+    def _call(self, v: int, handler, *args) -> None:
+        # Network._call plus containment, inlined: this runs once per
+        # activation, the engine's hottest path after sends.
         self._edges_used.clear()
-        self._run_protocol(v, self.protocols[v].on_start, self._contexts[v])
-
-    def _run_protocol(self, v: int, fn, *args) -> None:
         try:
-            fn(*args)
+            handler(*args)
         except Exception as exc:  # noqa: BLE001 — crash-stop the node, not the run
             # Loss, reordering, and churn can push synchronous
             # protocols into states they were never written for; the
@@ -471,29 +291,15 @@ class AsyncNetwork:
             self._protocol_errors.append((v, f"{type(exc).__name__}: {exc}"))
             self._contexts[v].halted = True
             if self.events is not None:
-                self.events.append(("error", self._now, v,
+                self.events.append(("error", self.virtual_time, v,
                                     type(exc).__name__))
 
     # -- inspection ------------------------------------------------------------
 
-    def context(self, v: int) -> Context:
-        """The execution context of node ``v`` (tests / result readout)."""
-        return self._contexts[v]
-
-    def _all_halted(self) -> bool:
-        return all(ctx.halted for ctx in self._contexts)
-
-    def _maybe_audit(self, *, force: bool = False) -> None:
-        if not self._audit_memory:
-            return
-        if not force and self.round_index - self._last_audit < self._audit_every:
-            return
-        self._last_audit = self.round_index
-        peaks = self.metrics.peak_state_words
-        for v, proto in enumerate(self.protocols):
-            words = proto.state_size()
-            if words > peaks[v]:
-                peaks[v] = words
+    def substrate_detail(self) -> dict:
+        detail = super().substrate_detail()
+        detail["async"] = self.async_summary()
+        return detail
 
     def async_summary(self) -> dict:
         """Event-level counters for ``detail["async"]``.

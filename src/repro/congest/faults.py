@@ -11,10 +11,14 @@ must wind down cleanly (quiescence, not exceptions).
 Usage::
 
     plan = FaultPlan(drop_probability=0.05, seed=7)
-    injector = FaultInjector(plan)
-    result = run_dra(graph, seed=1, network_hook=injector.attach)
-    assert injector.dropped >= 0          # observability
+    result = run_dra(graph, seed=1, network=NetworkModel(fault_plan=plan))
+    result.detail["faults"]   # {"offered", "dropped", "drop_rate",
+                              #  "crashed_nodes"}
     # result.success is False unless a real HC was still produced
+
+The network builds one :class:`FaultInjector` from the plan and exposes
+it as ``network.adversary`` (capture it through a
+``NetworkModel(network_hook=...)`` to read ``crashed`` directly).
 
 Fault kinds:
 
@@ -39,29 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.congest.network import Network
-
-__all__ = ["FaultPlan", "FaultInjector", "compose_fault_hook"]
-
-
-def compose_fault_hook(plan: "FaultPlan", network_hook=None):
-    """A ``network_hook`` applying ``plan``, composed with an existing hook.
-
-    This is how the congest runners honour their registry-declared
-    ``fault_plan`` keyword: the returned hook attaches a fresh
-    :class:`FaultInjector` (before any caller-supplied hook, so a
-    conflicting second delivery filter fails loudly), and the injector
-    is returned alongside so the runner can report
-    ``injector.summary()`` in its result detail.
-    """
-    injector = FaultInjector(plan)
-
-    def hook(network: "Network") -> None:
-        injector.attach(network)
-        if network_hook is not None:
-            network_hook(network)
-
-    return hook, injector
+__all__ = ["FaultPlan", "FaultInjector"]
 
 
 @dataclass(frozen=True)
@@ -98,6 +80,9 @@ class FaultPlan:
         normalized = frozenset(
             (min(a, b), max(a, b)) for a, b in self.dead_links)
         object.__setattr__(self, "dead_links", normalized)
+        lowest = min(self.nodes(), default=0)
+        if lowest < 0:
+            raise ValueError(f"fault plan node ids must be >= 0, got {lowest}")
         if self.window is not None:
             lo, hi = self.window
             if lo > hi:
@@ -107,6 +92,11 @@ class FaultPlan:
         """True when this plan injects nothing."""
         return (self.drop_probability == 0.0 and not self.dead_links
                 and not self.crash_rounds)
+
+    def nodes(self) -> set[int]:
+        """Every node id the plan names (crashes and dead-link ends)."""
+        return {*self.crash_rounds, *(v for link in self.dead_links
+                                      for v in link)}
 
     def to_json(self) -> dict:
         """JSON-safe dict form (see :meth:`from_json`)."""
@@ -140,10 +130,14 @@ class FaultPlan:
 
 
 class FaultInjector:
-    """Applies a :class:`FaultPlan` to a network and counts what it broke.
+    """The adversary applying a :class:`FaultPlan`, and its counters.
 
-    Attach via the front ends' ``network_hook`` (or set it as the
-    network's ``delivery_filter`` directly).  After the run:
+    Both engines build one from ``model.fault_plan`` (as
+    ``network.adversary``) and ask :meth:`offer` about each message.
+    The synchronous engine asks at delivery, after that round's crashes
+    (:meth:`due_crashes`) are applied; the asynchronous one asks at send
+    time.  Windows and crash rounds compare against the message's
+    delivery round in both.  After the run:
 
     * ``dropped`` — messages discarded (all causes combined);
     * ``crashed`` — nodes crash-stopped so far;
@@ -157,48 +151,30 @@ class FaultInjector:
         self.crashed: set[int] = set()
         self._rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
 
-    def attach(self, network: Network) -> None:
-        """Install this injector as the network's delivery filter."""
-        if network.delivery_filter is not None:
-            raise RuntimeError("network already has a delivery filter")
-        network.delivery_filter = self._filter
+    def offer(self, src: int, dst: int, delivery_round: int) -> bool:
+        """Count one message; True if the adversary eats it."""
+        self.offered += 1
+        if src in self.crashed or dst in self.crashed:
+            self.dropped += 1
+            return True
+        window = self.plan.window
+        if window is not None and not window[0] <= delivery_round <= window[1]:
+            return False
+        if self._link_dead(src, dst) or (
+                self.plan.drop_probability > 0.0
+                and self._rng.random() < self.plan.drop_probability):
+            self.dropped += 1
+            return True
+        return False
 
-    # -- the adversary ----------------------------------------------------------
+    def due_crashes(self, round_index: int) -> list[int]:
+        """Nodes not yet crashed whose crash round is ``<= round_index``."""
+        return [node for node, crash_at in self.plan.crash_rounds.items()
+                if crash_at <= round_index and node not in self.crashed]
 
-    def _filter(
-        self, network: Network, outbox: list[tuple[int, int, tuple]],
-    ) -> list[tuple[int, int, tuple]]:
-        # The filter runs inside _step after round_index increments are
-        # staged; messages in `outbox` are about to be delivered at the
-        # start of round `round_index + 1`.
-        delivery_round = network.round_index + 1
-        self._apply_crashes(network, delivery_round)
-        in_window = (self.plan.window is None
-                     or self.plan.window[0] <= delivery_round <= self.plan.window[1])
-
-        survivors: list[tuple[int, int, tuple]] = []
-        for src, dst, payload in outbox:
-            self.offered += 1
-            if src in self.crashed or dst in self.crashed:
-                self.dropped += 1
-                continue
-            if in_window and self._link_dead(src, dst):
-                self.dropped += 1
-                continue
-            if (in_window and self.plan.drop_probability > 0.0
-                    and self._rng.random() < self.plan.drop_probability):
-                self.dropped += 1
-                continue
-            survivors.append((src, dst, payload))
-        return survivors
-
-    def _apply_crashes(self, network: Network, round_index: int) -> None:
-        for node, crash_at in self.plan.crash_rounds.items():
-            if node in self.crashed or crash_at > round_index:
-                continue
-            self.crashed.add(node)
-            # Crash-stop: the engine never runs a halted node again.
-            network.context(node).halted = True
+    def drop_in_flight(self) -> None:
+        """Count a message lost between send and delivery (late crash)."""
+        self.dropped += 1
 
     def _link_dead(self, src: int, dst: int) -> bool:
         if not self.plan.dead_links:

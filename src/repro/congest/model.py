@@ -1,12 +1,8 @@
 """The unified network-configuration object: :class:`NetworkModel`.
 
-Before this module existed, network configuration was a handful of
-ad-hoc keyword arguments scattered across the congest runners —
-``network_hook``, ``fault_plan``, ``bandwidth_words``, ``audit_memory``
-— and the asynchronous engine would have multiplied them (latency
-distributions, churn schedules, adversary seeds).  A
-:class:`NetworkModel` collects the whole description of the *substrate*
-an algorithm runs on into one frozen, JSON-serialisable value:
+A :class:`NetworkModel` collects the whole description of the
+*substrate* an algorithm runs on into one frozen, JSON-serialisable
+value:
 
 * ``mode`` — ``"sync"`` (the round-driven :class:`~repro.congest.
   network.Network`) or ``"async"`` (the event-queue
@@ -14,7 +10,8 @@ an algorithm runs on into one frozen, JSON-serialisable value:
 * ``bandwidth_words`` — per-message word budget (``None`` = the
   runner's own default);
 * ``fault_plan`` — a declarative :class:`~repro.congest.faults.
-  FaultPlan` adversary;
+  FaultPlan` adversary (every node id it names must exist in the
+  graph; the network rejects the model otherwise);
 * ``latency`` — a :class:`LatencySpec` giving each directed edge a
   seeded delay distribution (async mode only; ``"unit"`` reproduces
   synchronous rounds exactly);
@@ -22,26 +19,25 @@ an algorithm runs on into one frozen, JSON-serialisable value:
   node at a virtual time, ``"join"`` defers its start (async only);
 * ``seed`` — the substrate's own randomness (latency draws), separate
   from both the protocol seed and the fault plan's adversary seed;
-* ``network_hook`` — an imperative escape hatch (observer attachment);
-  the only field excluded from JSON.
+* ``network_hook`` — an imperative escape hatch called with the built
+  network before it runs (observer attachment, reading
+  ``network.adversary``); the only field excluded from JSON.
 
 The congest runners accept ``network=`` (a model, a dict, or a JSON
-string); the legacy ``fault_plan=`` / ``network_hook=`` keywords remain
-as shims that emit :class:`DeprecationWarning` and route through
-:func:`coerce_network_model`.  The canonical JSON string form
-(:meth:`NetworkModel.canonical`) is hashable and byte-stable, so sweep
-points carrying a model stay store-canonicalisable and resumable.
+string; :func:`coerce_network_model` normalises the three forms) and
+hand the model to :func:`build_network`, which constructs the engine it
+names.  The canonical JSON string form (:meth:`NetworkModel.canonical`)
+is hashable and byte-stable, so sweep points carrying a model stay
+store-canonicalisable and resumable.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Callable
 
-from repro.congest.faults import FaultInjector, FaultPlan, compose_fault_hook
-from repro.congest.network import DEFAULT_BANDWIDTH_WORDS, Network
+from repro.congest.faults import FaultInjector, FaultPlan
 
 __all__ = [
     "LatencySpec",
@@ -248,52 +244,23 @@ class NetworkModel:
         return cls(**kwargs)
 
 
-def _warn_legacy(name: str, caller: str) -> None:
-    warnings.warn(
-        f"{caller}(..., {name}=...) is deprecated; pass "
-        f"network=NetworkModel({name}=...) instead",
-        DeprecationWarning, stacklevel=4)
-
-
 def coerce_network_model(
     network: "NetworkModel | dict | str | None" = None,
-    *,
-    network_hook: Callable | None = None,
-    fault_plan: FaultPlan | None = None,
-    bandwidth_words: int | None = None,
-    caller: str = "run",
 ) -> NetworkModel:
-    """The effective :class:`NetworkModel` for a runner call.
+    """The :class:`NetworkModel` a runner's ``network=`` argument names.
 
     ``network`` may be a model, a JSON dict/string, or ``None`` (the
-    default synchronous substrate).  Each legacy keyword emits a
-    :class:`DeprecationWarning` and folds into the model; passing a
-    legacy keyword *and* the same field on an explicit model is a
-    conflict and raises, so a value can never be silently shadowed.
+    default synchronous substrate).
     """
     if network is None:
-        model = NetworkModel()
-    elif isinstance(network, NetworkModel):
-        model = network
-    elif isinstance(network, (dict, str)):
-        model = NetworkModel.from_json(network)
-    else:
-        raise TypeError(
-            f"network must be a NetworkModel, dict, or JSON string, got "
-            f"{type(network).__name__}")
-    for name, value, current in (
-            ("fault_plan", fault_plan, model.fault_plan),
-            ("network_hook", network_hook, model.network_hook),
-            ("bandwidth_words", bandwidth_words, model.bandwidth_words)):
-        if value is None:
-            continue
-        _warn_legacy(name, caller)
-        if current is not None:
-            raise ValueError(
-                f"{name} given both as a legacy keyword and on the "
-                f"NetworkModel; set it in one place")
-        model = replace(model, **{name: value})
-    return model
+        return NetworkModel()
+    if isinstance(network, NetworkModel):
+        return network
+    if isinstance(network, (dict, str)):
+        return NetworkModel.from_json(network)
+    raise TypeError(
+        f"network must be a NetworkModel, dict, or JSON string, got "
+        f"{type(network).__name__}")
 
 
 def build_network(
@@ -307,35 +274,29 @@ def build_network(
 ):
     """Construct (and hook up) the simulator ``model`` describes.
 
-    Returns ``(network, injector)`` where ``network`` is a ready-to-run
-    :class:`~repro.congest.network.Network` or
-    :class:`~repro.congest.async_engine.AsyncNetwork` and ``injector``
-    carries the fault adversary's counters (``.summary()``), or is
-    ``None`` when the model has no fault plan.  ``audit_memory`` is the
-    runner's own flag; it ORs with the model's.
+    Returns a ready-to-run :class:`~repro.congest.network.Network`, or
+    its :class:`~repro.congest.async_engine.AsyncNetwork` subclass for
+    ``mode="async"``; the fault adversary is ``network.adversary`` and
+    ``network.substrate_detail()`` reports what the substrate did.  The
+    bandwidth is the model's, else ``default_bandwidth``, else the
+    engine default; ``audit_memory`` (the runner's own flag) ORs with
+    the model's.  The model's ``network_hook`` runs on the built
+    network before it starts.
     """
+    from repro.congest.async_engine import AsyncNetwork
+    from repro.congest.network import DEFAULT_BANDWIDTH_WORDS, Network
+
     words = model.bandwidth_words
     if words is None:
         words = (default_bandwidth if default_bandwidth is not None
                  else DEFAULT_BANDWIDTH_WORDS)
-    audit = bool(audit_memory or model.audit_memory)
-    if model.is_async():
-        from repro.congest.async_engine import AsyncNetwork
-
-        net = AsyncNetwork(graph, protocol_factory, seed=seed, model=model,
-                           bandwidth_words=words, audit_memory=audit)
-        if model.network_hook is not None:
-            model.network_hook(net)
-        return net, net.adversary
-    hook = model.network_hook
-    injector = None
-    if model.fault_plan is not None:
-        hook, injector = compose_fault_hook(model.fault_plan, hook)
-    net = Network(graph, protocol_factory, seed=seed, bandwidth_words=words,
-                  audit_memory=audit)
-    if hook is not None:
-        hook(net)
-    return net, injector
+    engine = AsyncNetwork if model.is_async() else Network
+    net = engine(graph, protocol_factory, seed=seed, model=model,
+                 bandwidth_words=words,
+                 audit_memory=bool(audit_memory or model.audit_memory))
+    if model.network_hook is not None:
+        model.network_hook(net)
+    return net
 
 
 def faults_summary_for(model: NetworkModel) -> dict | None:

@@ -1,4 +1,4 @@
-"""The synchronous CONGEST round engine.
+"""The CONGEST message-passing core and its synchronous round engine.
 
 Semantics (Section I-A of the paper):
 
@@ -15,6 +15,13 @@ Semantics (Section I-A of the paper):
 The engine is event-driven: a node runs in a round only if it received
 messages or scheduled a wake-up, so simulation cost tracks message
 activity rather than ``n * rounds``.
+
+:class:`Network` is also the shared core of the asynchronous engine
+(:class:`~repro.congest.async_engine.AsyncNetwork` subclasses it): the
+per-node contexts and RNG streams, the send rules and their accounting,
+wake-up validation, activation order, the memory audit, the fault
+adversary and the substrate report live here once.  The subclass swaps
+the round loop for an event queue and keeps only what event time needs.
 """
 
 from __future__ import annotations
@@ -29,14 +36,20 @@ from repro.congest.errors import (
     NotANeighborError,
     RoundLimitExceeded,
 )
+from repro.congest.faults import FaultInjector
 from repro.congest.message import Message, payload_bits, word_bits
 from repro.congest.metrics import Metrics
+from repro.congest.model import NetworkModel
 from repro.congest.node import Context, Protocol
 from repro.graphs.adjacency import Graph
 
-__all__ = ["Network", "DEFAULT_BANDWIDTH_WORDS"]
+__all__ = ["Network", "DEFAULT_BANDWIDTH_WORDS", "run_network"]
 
 DEFAULT_BANDWIDTH_WORDS = 8
+
+
+def _by_sender(msg: Message) -> int:
+    return msg.sender
 
 
 class Network:
@@ -51,6 +64,14 @@ class Network:
     seed:
         Master seed; each node receives an independent child generator,
         so executions are reproducible and node randomness is isolated.
+    model:
+        The :class:`~repro.congest.model.NetworkModel` whose fault plan
+        (and, for the async subclass, latency, churn and substrate seed)
+        this network applies; ``None`` is the fault-free default.  Every
+        node id the model names must exist in ``graph``.  Bandwidth and
+        the memory audit come from the two keywords below
+        (:func:`~repro.congest.model.build_network` folds the model's
+        values into them).
     bandwidth_words:
         Per-message budget in integer words (total bits =
         ``TAG_BITS + bandwidth_words * ceil(log2(n+1))`` — a constant
@@ -60,23 +81,35 @@ class Network:
         (words) to validate the o(n) fully-distributed restriction.
     """
 
+    #: The ``NetworkModel.mode`` this class runs, and the engine label
+    #: its runs report.
+    mode = "sync"
+    engine = "congest"
+
     def __init__(
         self,
         graph: Graph,
         protocol_factory: Callable[[int], Protocol],
         *,
         seed: int = 0,
+        model: NetworkModel | None = None,
         bandwidth_words: int = DEFAULT_BANDWIDTH_WORDS,
         audit_memory: bool = False,
         audit_every: int = 64,
     ):
         self.graph = graph
         self.n = graph.n
+        self.model = model if model is not None else NetworkModel(mode=self.mode)
+        if self.model.mode != self.mode:
+            raise ValueError(f"{type(self).__name__} needs a NetworkModel "
+                             f"with mode={self.mode!r}")
+        self._check_node_ids()
         self.round_index = 0
         self._word_bits = word_bits(self.n)
         self._bandwidth_bits = 8 + bandwidth_words * self._word_bits
         self._audit_memory = audit_memory
         self._audit_every = max(1, audit_every)
+        self._last_audit = 0
 
         seeds = np.random.SeedSequence(seed).spawn(self.n)
         self.protocols: list[Protocol] = []
@@ -88,25 +121,34 @@ class Network:
             self._contexts.append(ctx)
 
         self._outbox: list[tuple[int, int, tuple]] = []
-        self._edges_used: set[tuple[int, int]] = set()
+        self._edges_used: set[tuple[int, int]] = set()  # current activation
         self._wakes: dict[int, set[int]] = {}
+        self._activations = 0
+        self._limited = False
         #: Optional observer called once per executed round with the list of
         #: ``(src, dst, payload)`` messages delivered at the start of that
-        #: round.  Used by :mod:`repro.kmachine` to re-cost the execution
-        #: under a different communication model without touching protocols.
+        #: round, as offered (before the fault adversary).  Used by
+        #: :mod:`repro.kmachine` to re-cost the execution under a different
+        #: communication model without touching protocols.
         self.round_observer: Callable[["Network", list[tuple[int, int, tuple]]], None] | None = None
-        #: Optional adversary: transforms each round's in-flight message
-        #: list before delivery (drop/reorder; the observer above sees the
-        #: traffic as *offered*, i.e. pre-filter).  Used by
-        #: :mod:`repro.congest.faults` for failure-injection experiments.
-        self.delivery_filter: Callable[
-            ["Network", list[tuple[int, int, tuple]]],
-            list[tuple[int, int, tuple]]] | None = None
         self.metrics = Metrics(
             sent_per_node=np.zeros(self.n, dtype=np.int64),
             peak_state_words=np.zeros(self.n, dtype=np.int64),
             memory_audited=audit_memory,
         )
+        plan = self.model.fault_plan
+        self.adversary = FaultInjector(plan) if plan is not None else None
+
+    def _check_node_ids(self) -> None:
+        """Reject a model naming a node the graph does not have."""
+        named = [("churn event", node) for _, node, _ in self.model.churn]
+        if self.model.fault_plan is not None:
+            named += [("fault plan", node)
+                      for node in sorted(self.model.fault_plan.nodes())]
+        for what, node in named:
+            if not 0 <= node < self.n:
+                raise ValueError(f"{what} names node {node} but the graph "
+                                 f"has {self.n} nodes")
 
     # -- internal API used by Context -----------------------------------------
 
@@ -127,10 +169,14 @@ class Network:
                 f"is {self._bandwidth_bits} bits"
             )
         self._edges_used.add(key)
-        self._outbox.append((src, dst, payload))
         self.metrics.messages += 1
         self.metrics.bits += bits
         self.metrics.sent_per_node[src] += 1
+        self._post(src, dst, payload)
+
+    def _post(self, src: int, dst: int, payload: tuple) -> None:
+        """Put an accepted message in flight (next round's delivery)."""
+        self._outbox.append((src, dst, payload))
 
     def _edge_free(self, src: int, dst: int) -> bool:
         return (src, dst) not in self._edges_used
@@ -155,55 +201,86 @@ class Network:
         """Execute the protocol until global termination.
 
         Termination is: every node halted, or the optional ``until``
-        predicate returns true, or no activity remains (no messages in
-        flight and no wake-ups scheduled).  Hitting ``max_rounds`` first
-        raises :class:`RoundLimitExceeded` (or returns, when
-        ``raise_on_limit`` is false).
+        predicate returns true, or no activity remains (nothing in
+        flight and no wake-ups scheduled).  Exhausting the watchdog
+        budget first (``max_rounds`` rounds) raises
+        :class:`RoundLimitExceeded` (or returns, when ``raise_on_limit``
+        is false).
         """
         self.round_index = 0
-        for v in range(self.n):
-            self.protocols[v].on_start(self._contexts[v])
+        self._start()
         self._maybe_audit(force=True)
-
-        while True:
-            if self._all_halted() or (until is not None and until(self)):
-                break
-            if not self._outbox and not self._wakes:
-                break  # deadlock-free quiescence: nothing will ever happen again
-            if self.round_index >= max_rounds:
-                if raise_on_limit:
-                    raise RoundLimitExceeded(
-                        f"protocol did not terminate within {max_rounds} rounds"
-                    )
+        self._limited = False
+        while not (self._all_halted() or (until is not None and until(self))):
+            if not self._pending():
+                break  # quiescence: nothing will ever happen again
+            if self._over_budget(max_rounds):
+                self._limited = True
                 break
             self._step()
+            self._maybe_audit()
 
+        if self._limited and raise_on_limit:
+            raise RoundLimitExceeded(
+                f"protocol did not terminate within the watchdog budget "
+                f"(max_rounds={max_rounds})")
         self.metrics.rounds = self.round_index
         self._maybe_audit(force=True)
         return self.metrics
 
-    def _step(self) -> None:
-        if self.round_observer is not None:
-            self.round_observer(self, self._outbox)
-        if self.delivery_filter is not None:
-            self._outbox = self.delivery_filter(self, self._outbox)
-        inboxes: dict[int, list[Message]] = {}
-        for src, dst, payload in self._outbox:
-            inboxes.setdefault(dst, []).append(Message(src, payload))
-        self._outbox = []
-        self._edges_used.clear()
+    def _start(self) -> None:
+        for v in range(self.n):
+            self._call(v, self.protocols[v].on_start, self._contexts[v])
 
-        self.round_index += 1
-        active = self._wakes.pop(self.round_index, set())
-        active.update(inboxes)
+    def _pending(self) -> bool:
+        return bool(self._outbox or self._wakes)
+
+    def _over_budget(self, max_rounds: int) -> bool:
+        return self.round_index >= max_rounds
+
+    def _step(self) -> None:
+        outbox, self._outbox = self._outbox, []
+        if self.round_observer is not None:
+            self.round_observer(self, outbox)
+        delivery_round = self.round_index + 1
+        adversary = self.adversary
+        if adversary is not None:
+            for node in adversary.due_crashes(delivery_round):
+                self._crash(node, adversary.crashed)
+            outbox = [m for m in outbox
+                      if not adversary.offer(m[0], m[1], delivery_round)]
+        inboxes: dict[int, list[Message]] = {}
+        for src, dst, payload in outbox:
+            inboxes.setdefault(dst, []).append(Message(src, payload))
+        self.round_index = delivery_round
+        self._activate(inboxes, self._wakes.pop(delivery_round, ()))
+
+    def _activate(self, inboxes: dict[int, list[Message]], wakes) -> None:
+        """Run every live node with mail or a wake-up, in id order.
+
+        Each inbox is sorted by sender, so an instant's schedule does
+        not depend on the order its messages arrived in.
+        """
+        active = set(inboxes)
+        active.update(wakes)
         for v in sorted(active):
             ctx = self._contexts[v]
             if ctx.halted:
                 continue
             inbox = inboxes.get(v, [])
-            inbox.sort(key=lambda msg: msg.sender)
-            self.protocols[v].on_round(ctx, inbox)
-        self._maybe_audit()
+            inbox.sort(key=_by_sender)
+            self._activations += 1
+            self._call(v, self.protocols[v].on_round, ctx, inbox)
+
+    def _call(self, v: int, handler, *args) -> None:
+        """Run one handler of node ``v`` with a fresh per-edge send budget."""
+        self._edges_used.clear()
+        handler(*args)
+
+    def _crash(self, node: int, registry: set[int]) -> None:
+        """Crash-stop ``node``: the engine never runs a halted node again."""
+        registry.add(node)
+        self._contexts[node].halted = True
 
     # -- inspection -------------------------------------------------------------
 
@@ -217,13 +294,29 @@ class Network:
     def _maybe_audit(self, *, force: bool = False) -> None:
         if not self._audit_memory:
             return
-        if not force and self.round_index % self._audit_every != 0:
+        if not force and self.round_index - self._last_audit < self._audit_every:
             return
+        self._last_audit = self.round_index
         peaks = self.metrics.peak_state_words
         for v, proto in enumerate(self.protocols):
             words = proto.state_size()
             if words > peaks[v]:
                 peaks[v] = words
+
+    def substrate_detail(self) -> dict:
+        """What the substrate did, for a runner's ``RunResult.detail``.
+
+        ``faults`` (the adversary's counters) when the model has a fault
+        plan, ``async`` on the event engine, and the per-node state
+        audit when the memory audit ran.
+        """
+        detail = {}
+        if self.adversary is not None:
+            detail["faults"] = self.adversary.summary()
+        if self.metrics.memory_audited:
+            detail["max_state_words"] = self.metrics.max_state_words()
+            detail["state_words"] = self.metrics.peak_state_words.tolist()
+        return detail
 
 
 def run_network(
@@ -232,7 +325,6 @@ def run_network(
     *,
     seed: int = 0,
     max_rounds: int,
-    bandwidth_words: int | None = None,
     audit_memory: bool = False,
     until: Callable[[Network], bool] | None = None,
     network=None,
@@ -242,16 +334,12 @@ def run_network(
     ``network`` is a :class:`~repro.congest.model.NetworkModel` (or its
     JSON form) describing the substrate — including ``mode="async"``,
     in which case the returned object is an
-    :class:`~repro.congest.async_engine.AsyncNetwork`.  The standalone
-    ``bandwidth_words=`` keyword is a deprecated shim folding into it
-    (the :class:`Network` constructor's own parameter is not deprecated;
-    this wrapper is model-driven).
+    :class:`~repro.congest.async_engine.AsyncNetwork`.
     """
     from repro.congest.model import build_network, coerce_network_model
 
-    model = coerce_network_model(network, bandwidth_words=bandwidth_words,
-                                 caller="run_network")
-    net, _ = build_network(graph, protocol_factory, seed=seed, model=model,
-                           audit_memory=audit_memory)
+    net = build_network(graph, protocol_factory, seed=seed,
+                        model=coerce_network_model(network),
+                        audit_memory=audit_memory)
     net.run(max_rounds=max_rounds, until=until)
     return net

@@ -351,8 +351,6 @@ def run_dhc1(
     seed: int = 0,
     max_rounds: int | None = None,
     audit_memory: bool = False,
-    network_hook=None,
-    fault_plan=None,
     network=None,
 ) -> RunResult:
     """Run Algorithm 2 on ``graph`` in the CONGEST simulator.
@@ -360,21 +358,17 @@ def run_dhc1(
     Intended for the DHC1 regime ``p = c ln n / sqrt(n)``; ``k`` defaults
     to ``sqrt(n)`` colour classes.  ``network`` is a
     :class:`~repro.congest.model.NetworkModel` (or its JSON form)
-    describing the substrate; the legacy ``network_hook=`` /
-    ``fault_plan=`` keywords are deprecated shims folding into it.  A
-    fault plan's counters appear under ``detail["faults"]``; async runs
-    also report ``detail["async"]``.
+    describing the substrate.  A fault plan's counters appear under
+    ``detail["faults"]``; async runs also report ``detail["async"]``.
     """
     n = graph.n
-    model = coerce_network_model(network, network_hook=network_hook,
-                                 fault_plan=fault_plan, caller="run_dhc1")
     colors = k if k is not None else default_sqrt_colors(n)
     limit = max_rounds if max_rounds is not None else dhc1_round_budget(n, colors)
-    network_, injector = build_network(
+    network_ = build_network(
         graph,
         lambda v: Dhc1Protocol(v, n, colors),
         seed=seed,
-        model=model,
+        model=coerce_network_model(network),
         audit_memory=audit_memory,
         default_bandwidth=12,
     )
@@ -395,13 +389,7 @@ def run_dhc1(
         (p.vwalk.steps_seen for p in protocols if p.vwalk is not None), default=0
     )
     detail = {"k": colors, "aborted": sum(p.aborted for p in protocols)}
-    if injector is not None:
-        detail["faults"] = injector.summary()
-    if model.is_async():
-        detail["async"] = network_.async_summary()
-    if audit_memory or model.audit_memory:
-        detail["max_state_words"] = metrics.max_state_words()
-        detail["state_words"] = metrics.peak_state_words.tolist()
+    detail.update(network_.substrate_detail())
     return RunResult(
         algorithm="dhc1",
         success=ok,
@@ -410,6 +398,6 @@ def run_dhc1(
         messages=metrics.messages,
         bits=metrics.bits,
         steps=steps,
-        engine="async" if model.is_async() else "congest",
+        engine=network_.engine,
         detail=detail,
     )

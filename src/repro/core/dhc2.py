@@ -174,8 +174,6 @@ def run_dhc2(
     seed: int = 0,
     max_rounds: int | None = None,
     audit_memory: bool = False,
-    network_hook=None,
-    fault_plan=None,
     network=None,
 ) -> RunResult:
     """Run Algorithm 3 on ``graph`` in the CONGEST simulator.
@@ -186,21 +184,18 @@ def run_dhc2(
     Hamiltonian cycle of the input graph.
 
     ``network`` is a :class:`~repro.congest.model.NetworkModel` (or its
-    JSON form) describing the substrate; the legacy ``network_hook=`` /
-    ``fault_plan=`` keywords are deprecated shims folding into it.  A
-    fault plan's counters appear under ``detail["faults"]``; async runs
-    also report ``detail["async"]``.
+    JSON form) describing the substrate.  A fault plan's counters
+    appear under ``detail["faults"]``; async runs also report
+    ``detail["async"]``.
     """
     n = graph.n
-    model = coerce_network_model(network, network_hook=network_hook,
-                                 fault_plan=fault_plan, caller="run_dhc2")
     colors = k if k is not None else default_color_count(n, delta)
     limit = max_rounds if max_rounds is not None else dhc2_round_budget(n, colors)
-    network_, injector = build_network(
+    network_ = build_network(
         graph,
         lambda v: Dhc2Protocol(v, n, colors),
         seed=seed,
-        model=model,
+        model=coerce_network_model(network),
         audit_memory=audit_memory,
         default_bandwidth=12,
     )
@@ -224,13 +219,7 @@ def run_dhc2(
         "levels": merge_levels(colors),
         "aborted": sum(p.aborted for p in protocols),
     }
-    if injector is not None:
-        detail["faults"] = injector.summary()
-    if model.is_async():
-        detail["async"] = network_.async_summary()
-    if audit_memory or model.audit_memory:
-        detail["max_state_words"] = metrics.max_state_words()
-        detail["state_words"] = metrics.peak_state_words.tolist()
+    detail.update(network_.substrate_detail())
     return RunResult(
         algorithm="dhc2",
         success=ok,
@@ -239,6 +228,6 @@ def run_dhc2(
         messages=metrics.messages,
         bits=metrics.bits,
         steps=steps,
-        engine="async" if model.is_async() else "congest",
+        engine=network_.engine,
         detail=detail,
     )

@@ -113,8 +113,6 @@ def run_dra(
     step_budget: int | None = None,
     max_rounds: int | None = None,
     audit_memory: bool = False,
-    network_hook=None,
-    fault_plan=None,
     network=None,
 ) -> RunResult:
     """Run Algorithm 1 on ``graph`` in the CONGEST simulator.
@@ -126,22 +124,19 @@ def run_dra(
     ``network`` is a :class:`~repro.congest.model.NetworkModel` (or its
     JSON dict/string form) describing the substrate: sync vs async
     engine, bandwidth, fault plan, latency distribution, churn.  The
-    legacy ``network_hook=`` / ``fault_plan=`` keywords are deprecated
-    shims folding into it.  When the model has a fault plan the
-    adversary's counters appear under ``detail["faults"]``; async runs
-    additionally report ``detail["async"]`` (see
-    ``AsyncNetwork.async_summary``).
+    network's substrate report lands in ``detail``: the adversary's
+    counters under ``detail["faults"]`` when the model has a fault plan,
+    and ``detail["async"]`` on async runs (see
+    ``Network.substrate_detail``).
     """
     n = graph.n
-    model = coerce_network_model(network, network_hook=network_hook,
-                                 fault_plan=fault_plan, caller="run_dra")
     budget = step_budget if step_budget is not None else dra_step_budget(n)
     limit = max_rounds if max_rounds is not None else dra_round_budget(n, budget)
-    network_, injector = build_network(
+    network_ = build_network(
         graph,
         lambda v: DraProtocol(v, n, step_budget=budget),
         seed=seed,
-        model=model,
+        model=coerce_network_model(network),
         audit_memory=audit_memory,
     )
     metrics = network_.run(max_rounds=limit, raise_on_limit=False)
@@ -160,13 +155,7 @@ def run_dra(
             ok = False
             cycle = None
     detail = {"fail_codes": sorted({w.fail_code for w in walks if w is not None and w.fail_code})}
-    if injector is not None:
-        detail["faults"] = injector.summary()
-    if model.is_async():
-        detail["async"] = network_.async_summary()
-    if audit_memory or model.audit_memory:
-        detail["max_state_words"] = metrics.max_state_words()
-        detail["state_words"] = metrics.peak_state_words.tolist()
+    detail.update(network_.substrate_detail())
     return RunResult(
         algorithm="dra",
         success=ok,
@@ -175,6 +164,6 @@ def run_dra(
         messages=metrics.messages,
         bits=metrics.bits,
         steps=steps,
-        engine="async" if model.is_async() else "congest",
+        engine=network_.engine,
         detail=detail,
     )

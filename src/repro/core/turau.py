@@ -422,8 +422,6 @@ def run_turau(
     phase_budget: int | None = None,
     max_rounds: int | None = None,
     audit_memory: bool = False,
-    network_hook=None,
-    fault_plan=None,
     network=None,
 ) -> RunResult:
     """Run Turau-style path merging on ``graph`` in the CONGEST simulator.
@@ -432,15 +430,12 @@ def run_turau(
     true only if every node terminated in the done state *and* the
     committed links verify as a Hamiltonian cycle of ``graph``.
     ``network`` is a :class:`~repro.congest.model.NetworkModel` (or its
-    JSON form) describing the substrate; the legacy ``network_hook=`` /
-    ``fault_plan=`` keywords are deprecated shims folding into it.  A
-    fault plan's counters appear under ``detail["faults"]`` (zeros when
-    the run never started, e.g. ``n < 3``); async runs also report
-    ``detail["async"]``.
+    JSON form) describing the substrate.  A fault plan's counters
+    appear under ``detail["faults"]`` (zeros when the run never started,
+    e.g. ``n < 3``); async runs also report ``detail["async"]``.
     """
     n = graph.n
-    model = coerce_network_model(network, network_hook=network_hook,
-                                 fault_plan=fault_plan, caller="run_turau")
+    model = coerce_network_model(network)
     if n < 3:
         detail = {"fail": FAIL_TOO_SMALL, "phases": 0, "initial_paths": n}
         faults = faults_summary_for(model)
@@ -452,7 +447,7 @@ def run_turau(
     budget = max(1, phase_budget if phase_budget is not None
                  else turau_phase_budget(n))
     limit = max_rounds if max_rounds is not None else turau_round_budget(n, budget)
-    network_, injector = build_network(
+    network_ = build_network(
         graph,
         lambda v: TurauProtocol(v, n, phase_budget=budget),
         seed=seed,
@@ -486,13 +481,7 @@ def run_turau(
                       default=budget if not ok else 0),
         "initial_paths": singles + ends // 2,
     }
-    if injector is not None:
-        detail["faults"] = injector.summary()
-    if model.is_async():
-        detail["async"] = network_.async_summary()
-    if audit_memory or model.audit_memory:
-        detail["max_state_words"] = metrics.max_state_words()
-        detail["state_words"] = metrics.peak_state_words.tolist()
+    detail.update(network_.substrate_detail())
     return RunResult(
         algorithm="turau",
         success=ok,
@@ -501,6 +490,6 @@ def run_turau(
         messages=metrics.messages,
         bits=metrics.bits,
         steps=sum(p.commits for p in protocols),
-        engine="async" if model.is_async() else "congest",
+        engine=network_.engine,
         detail=detail,
     )

@@ -27,22 +27,14 @@ from repro.engines.results import RunResult
 
 __all__ = ["EngineRegistry", "REGISTRY", "run"]
 
-#: Keyword sets shared by the fully-distributed congest front ends.
-#: ``network`` is the unified substrate description (a
-#: :class:`~repro.congest.model.NetworkModel` or its JSON form) —
-#: bandwidth, fault plan, latency, churn in one object; the legacy
-#: ``network_hook`` / ``fault_plan`` keywords remain as deprecation
-#: shims folding into it, so sweeps mix fault scenarios without
-#: importing ``repro.congest.faults`` at call sites (and
-#: ``engine="auto"`` steers such runs onto the simulator, the only
-#: engine that can inject).
-_CONGEST_COMMON = ("max_rounds", "audit_memory", "network_hook", "fault_plan",
-                   "network")
-
-#: Keywords of the asynchronous event-queue entries: the unified
-#: ``network`` model only (the async engine has no legacy shims — its
-#: configuration surface was born consolidated).
-_ASYNC_COMMON = ("max_rounds", "audit_memory", "network")
+#: Keyword sets shared by the fully-distributed congest front ends and
+#: their asynchronous entries.  ``network`` is the unified substrate
+#: description (a :class:`~repro.congest.model.NetworkModel` or its JSON
+#: form) — bandwidth, fault plan, latency, churn in one object — so
+#: sweeps mix fault scenarios without importing ``repro.congest.faults``
+#: at call sites (and ``engine="auto"`` steers such runs onto the
+#: simulator, the only engine that can inject).
+_CONGEST_COMMON = ("max_rounds", "audit_memory", "network")
 
 #: Keywords shared by the native k-machine engine entries: machine
 #: count, per-link word budget (the model's ``W``), and an RVP stream
@@ -60,7 +52,7 @@ def _builtin_specs() -> list[EngineSpec]:
                    kmachine_convertible=True, audits_memory=True,
                    summary="Algorithm 1 in the message-level simulator"),
         EngineSpec("dra", "async", "repro.engines.async_runners:_dra_async",
-                   supported_kwargs=("step_budget", *_ASYNC_COMMON),
+                   supported_kwargs=("step_budget", *_CONGEST_COMMON),
                    audits_memory=True, async_capable=True,
                    summary="Algorithm 1 on the asynchronous event-queue "
                            "engine (latency, loss, reordering, churn)"),
@@ -85,7 +77,7 @@ def _builtin_specs() -> list[EngineSpec]:
                    kmachine_convertible=True, audits_memory=True,
                    summary="Algorithm 2 in the message-level simulator"),
         EngineSpec("dhc1", "async", "repro.engines.async_runners:_dhc1_async",
-                   supported_kwargs=("k", *_ASYNC_COMMON),
+                   supported_kwargs=("k", *_CONGEST_COMMON),
                    audits_memory=True, async_capable=True,
                    summary="Algorithm 2 on the asynchronous event-queue "
                            "engine"),
@@ -99,7 +91,7 @@ def _builtin_specs() -> list[EngineSpec]:
                    kmachine_convertible=True, audits_memory=True,
                    summary="Algorithm 3 in the message-level simulator"),
         EngineSpec("dhc2", "async", "repro.engines.async_runners:_dhc2_async",
-                   supported_kwargs=("delta", "k", *_ASYNC_COMMON),
+                   supported_kwargs=("delta", "k", *_CONGEST_COMMON),
                    audits_memory=True, async_capable=True,
                    summary="Algorithm 3 on the asynchronous event-queue "
                            "engine"),
@@ -130,7 +122,7 @@ def _builtin_specs() -> list[EngineSpec]:
                    summary="Turau path merging (arXiv:1805.06728) in the "
                            "message-level simulator"),
         EngineSpec("turau", "async", "repro.engines.async_runners:_turau_async",
-                   supported_kwargs=("phase_budget", *_ASYNC_COMMON),
+                   supported_kwargs=("phase_budget", *_CONGEST_COMMON),
                    audits_memory=True, async_capable=True,
                    summary="Turau path merging on the asynchronous "
                            "event-queue engine (its self-stabilising home "

@@ -236,7 +236,7 @@ class TestEnginesCommand:
         code, out, _ = run_cli(capsys, "engines", "--json")
         specs = {(s["algorithm"], s["engine"]): s for s in json.loads(out)}
         assert specs[("turau", "congest")]["kmachine_convertible"] is True
-        assert "fault_plan" in specs[("turau", "congest")]["supported_kwargs"]
+        assert "network" in specs[("turau", "congest")]["supported_kwargs"]
         assert specs[("turau", "fast")]["parity"] == ["cycle", "steps"]
         assert specs[("cre", "fast")]["parity"] == ["cycle", "steps"]
         assert specs[("cre", "sequential")]["kmachine_convertible"] is False
@@ -776,6 +776,22 @@ class TestNetworkFlag:
             "--network", f"@{tmp_path}/missing.json")
         assert code == 2
         assert "cannot read --network file" in err
+
+    @pytest.mark.parametrize("engine", ["congest", "async"])
+    @pytest.mark.parametrize("plan,node", [
+        ('{"crash_rounds": {"99": 3}}', "99"),
+        ('{"crash_rounds": {"-1": 3}}', "-1"),
+        ('{"dead_links": [[0, 999]]}', "999"),
+    ], ids=["crash-past-n", "crash-negative", "dead-link-past-n"])
+    def test_fault_plan_node_out_of_range_is_a_clean_error(
+            self, capsys, engine, plan, node):
+        code, out, err = run_cli(
+            capsys, "run", "--algorithm", "dra", "--engine", engine,
+            "--nodes", "32", "--c", "8", "--delta", "1.0", "--seed", "1",
+            "--json", "--network", '{"fault_plan": %s}' % plan)
+        assert code == 2
+        assert out == ""  # no plausible-looking result
+        assert "fault plan" in err and node in err
 
     def test_network_does_not_compose_with_kmachine_conversion(self, capsys):
         code, _, err = run_cli(

@@ -191,17 +191,18 @@ class TestCapabilityErrorPaths:
         assert "turau" in str(excinfo.value)
 
     def test_congest_only_kwarg_on_sequential_spec(self):
-        # fault_plan is a congest capability; requesting it against an
-        # explicitly sequential spec fails at resolution time with the
-        # missing keyword named, not deep inside a runner.
-        with pytest.raises(ValueError, match="does not support: fault_plan"):
-            REGISTRY.resolve("cre", "sequential", require=["fault_plan"])
+        # network (the substrate model, fault plans included) is a
+        # congest capability; requesting it against an explicitly
+        # sequential spec fails at resolution time with the missing
+        # keyword named, not deep inside a runner.
+        with pytest.raises(ValueError, match="does not support: network"):
+            REGISTRY.resolve("cre", "sequential", require=["network"])
 
     def test_congest_only_kwarg_unsatisfiable_on_auto(self):
         # cre has no congest engine at all, so auto resolution reports
         # every candidate's supported keywords.
         with pytest.raises(ValueError, match="no engine for algorithm 'cre'"):
-            REGISTRY.resolve("cre", "auto", require=["fault_plan"])
+            REGISTRY.resolve("cre", "auto", require=["network"])
 
     def test_foreign_algorithm_kwarg_rejected_at_call(self):
         g = dense_graph(8, seed=1)

@@ -144,20 +144,20 @@ class TestCapabilities:
         assert metrics.kmachine_rounds > 0
 
     def test_fault_plan_counters_reported(self):
-        from repro.congest.faults import FaultPlan
+        from repro.congest import FaultPlan, NetworkModel
 
         g = dense_graph(48, 2)
-        result = repro.run(g, "turau", seed=2,
-                           fault_plan=FaultPlan(drop_probability=0.0))
+        result = repro.run(g, "turau", seed=2, network=NetworkModel(
+            fault_plan=FaultPlan(drop_probability=0.0)))
         assert result.engine == "congest"
         assert result.detail["faults"]["dropped"] == 0
 
     def test_lossy_run_fails_honestly(self):
-        from repro.congest.faults import FaultPlan
+        from repro.congest import FaultPlan, NetworkModel
 
         g = dense_graph(48, 2)
-        result = repro.run(g, "turau", seed=2,
-                           fault_plan=FaultPlan(drop_probability=0.4, seed=9))
+        result = repro.run(g, "turau", seed=2, network=NetworkModel(
+            fault_plan=FaultPlan(drop_probability=0.4, seed=9)))
         assert result.engine == "congest"
         if not result.success:
             assert result.detail["fail"] in (FAIL_PHASE_BUDGET,
