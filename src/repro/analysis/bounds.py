@@ -130,6 +130,8 @@ def fit_power_law(xs: list[float], ys: list[float]) -> tuple[float, float]:
         raise ValueError("need at least two (x, y) pairs to fit")
     if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
         raise ValueError("power-law fit requires positive data")
+    if len(set(xs)) < 2:
+        raise ValueError("power-law fit needs at least two distinct x values")
     lx = [math.log(x) for x in xs]
     ly = [math.log(y) for y in ys]
     n = len(lx)

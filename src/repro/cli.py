@@ -103,16 +103,9 @@ from repro.reporting import render_table
 
 __all__ = ["main", "build_parser"]
 
-#: Pre-registry algorithm names, kept as aliases: each pins the engine
-#: the old name implied, so scripts and muscle memory keep working.
-_LEGACY_ALIASES = {
-    "dra-fast": ("dra", "fast"),
-    "dhc2-fast": ("dhc2", "fast"),
-}
-
-
-def _algorithm_choices() -> list[str]:
-    return REGISTRY.algorithms() + sorted(_LEGACY_ALIASES)
+#: Sweeps fit an exponent only over sizes spanning at least this ratio:
+#: over a narrower range, trial noise swamps the slope.
+_MIN_FIT_SPAN = 2.0
 
 
 def _engine_choices() -> list[str]:
@@ -149,18 +142,6 @@ def _parse_network_arg(text: str, *, engine: str) -> str:
     return model.canonical()
 
 
-def _resolve_algorithm(name: str, engine: str) -> tuple[str, str]:
-    """Map a CLI algorithm name (possibly a legacy alias) to registry keys."""
-    if name in _LEGACY_ALIASES:
-        algorithm, implied = _LEGACY_ALIASES[name]
-        if engine not in ("auto", implied):
-            raise ValueError(
-                f"--algorithm {name} implies --engine {implied}; "
-                f"use --algorithm {algorithm} --engine {engine} instead")
-        return algorithm, implied
-    return name, engine
-
-
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", "-n", type=int, default=256)
     parser.add_argument("--delta", type=float, default=0.5,
@@ -185,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one algorithm on one graph")
     _add_graph_arguments(run_p)
     run_p.add_argument("--algorithm", default="dhc2",
-                       choices=_algorithm_choices())
+                       choices=REGISTRY.algorithms())
     run_p.add_argument("--engine", default="auto", choices=_engine_choices(),
                        help="execution engine (auto = fastest that supports "
                             "the requested options)")
@@ -215,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="scaling study over n")
     _add_graph_arguments(sweep_p)
     sweep_p.add_argument("--algorithm", default="dhc2",
-                         choices=_algorithm_choices())
+                         choices=REGISTRY.algorithms())
     sweep_p.add_argument("--engine", default="auto", choices=_engine_choices(),
                          help="execution engine (auto = fastest available)")
     sweep_p.add_argument("--sizes", default="64,128,256",
@@ -356,7 +337,7 @@ def _make_graph(args):
 
 
 def _cmd_run(args) -> int:
-    algorithm, engine = _resolve_algorithm(args.algorithm, args.engine)
+    algorithm, engine = args.algorithm, args.engine
     graph, p = _make_graph(args)
 
     # Hard requirements (explicitly requested -> must be supported);
@@ -398,13 +379,8 @@ def _cmd_run(args) -> int:
                   file=sys.stderr)
             return 2
         if engine not in ("auto", "congest"):
-            if args.algorithm in _LEGACY_ALIASES:
-                print(f"--k-machines simulates the congest engine; use "
-                      f"--algorithm {algorithm} instead of the "
-                      f"{args.algorithm} alias", file=sys.stderr)
-            else:
-                print("--k-machines simulates the congest engine; drop "
-                      f"--engine {engine}", file=sys.stderr)
+            print("--k-machines simulates the congest engine; drop "
+                  f"--engine {engine}", file=sys.stderr)
             return 2
         required.pop("audit_memory", None)
         # Same capability validation the non-converted path gets from
@@ -536,10 +512,13 @@ class _SweepTrialBatch:
 
 
 def _cmd_sweep(args) -> int:
-    algorithm, engine = _resolve_algorithm(args.algorithm, args.engine)
+    algorithm, engine = args.algorithm, args.engine
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     if len(sizes) < 2:
         print("sweep needs at least two sizes", file=sys.stderr)
+        return 2
+    if len(set(sizes)) != len(sizes):
+        print(f"sweep sizes must be distinct: {args.sizes}", file=sys.stderr)
         return 2
     # Fail an invalid (algorithm, engine) pair here, before any graph
     # is sampled or worker pool spawned; trials re-resolve per call
@@ -694,8 +673,14 @@ def _cmd_sweep(args) -> int:
             mean_rounds.append(mean)
 
     exponent = None
-    if len(ns) >= 2:
+    if len(ns) < 2:
+        fit_note = "no exponent fit: fewer than two sizes with positive mean rounds"
+    elif max(ns) < _MIN_FIT_SPAN * min(ns):
+        fit_note = (f"no exponent fit: sizes with positive mean rounds span "
+                    f"{max(ns) / min(ns):.3f}x, below {_MIN_FIT_SPAN:g}x")
+    else:
         _a, exponent = fit_power_law(ns, mean_rounds)
+        fit_note = f"fitted rounds ~ n^{exponent:.3f}"
     if args.json:
         payload = {
             "algorithm": algorithm,
@@ -714,8 +699,7 @@ def _cmd_sweep(args) -> int:
         title += f", shard {shard})" if shard is not None else ")"
         print(render_table(["n", "p", "successes", "trials", "mean rounds"],
                            rows, title=title))
-        if exponent is not None:
-            print(f"fitted rounds ~ n^{exponent:.3f}")
+        print(fit_note)
         if shard is not None:
             print(f"shard {shard}: ran {len(trials)} of "
                   f"{len(sizes) * args.trials} trials; fuse the shard "

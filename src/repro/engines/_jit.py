@@ -11,9 +11,7 @@ kernels below are compiled and :mod:`repro.engines.batchwalk`
 dispatches to them through the module attributes ``walk_kernel`` /
 ``tree_kernel`` / ``reverse_blocks`` (``None`` when disabled; looked
 up dynamically, so benchmarks can toggle the compiled path inside one
-process).  They replace the two narrow ``compile_kernel`` shims of
-the first JIT cut (bit-select ranking and the CRE blockwise
-reversal): instead of accelerating one inner scan per pass,
+process).  Rather than accelerating one inner scan per pass,
 :func:`walk_steps_impl` runs each trial's *entire* rotation walk to
 completion — per-step PCG64 advance, Lemire bounded draw, live-bit
 popcount/select, twin-table edge kill, and the
@@ -36,36 +34,38 @@ preallocated arrays: valid ``numba.njit`` input and runnable
 constants — mixing signed ints into uint64 expressions promotes to
 float64 under numba and raises under numpy 2 scalar rules.
 
-**Threading** (``REPRO_JIT_THREADS``): each kernel also exists as a
-``*_parallel_impl`` variant whose outer trial loop is
-``numba.prange`` instead of ``range``.  Lanes are trial-independent
-by construction — trial ``b`` owns node-id block ``[b*n, (b+1)*n)``,
-so its PCG64 state rows, live-bit words, path buffer, and every
-outcome slot are disjoint from every other lane's — which makes the
-prange loop race-free *and* bitwise-identical to the serial order:
+**Threading** (``REPRO_JIT_THREADS``): each kernel has one source,
+whose outer trial loop is written as ``prange``, and
+:func:`compile_kernel` builds it twice.  Without ``parallel=True``
+numba compiles ``prange`` as plain ``range`` (the serial njit
+kernel); with it, the trial loop runs on numba's thread pool.
+Uncompiled, ``prange`` *is* ``range``, so the equality tests cover
+the one body both builds share.  Lanes are trial-independent by
+construction — trial ``b`` owns node-id block ``[b*n, (b+1)*n)``, so
+its PCG64 state rows, live-bit words, path buffer, and every outcome
+slot are disjoint from every other lane's, and the one scratch array
+(the BFS queue) is allocated inside the loop body — which makes the
+threaded loop race-free *and* bitwise-identical to the serial order:
 each lane consumes exactly its own per-node streams regardless of
 which thread runs it.  ``REPRO_JIT_THREADS=N`` (with ``REPRO_JIT=1``
-and numba present) compiles the parallel variants with
-``parallel=True`` and calls ``numba.set_num_threads(N)``; ``0`` or
-unset keeps the serial njit kernels.  The equality contract in
-``tests/test_batch_kernel.py`` covers the parallel impls uncompiled
-(prange degrades to ``range`` without numba), and the CI threaded
-numba lane re-runs the suite compiled with two threads.
+and numba present) selects the ``parallel=True`` build and calls
+``numba.set_num_threads(N)``; ``0`` or unset keeps the serial njit
+kernels.  The CI threaded numba lane re-runs the suite compiled with
+two threads.
 """
 
 from __future__ import annotations
 
 import os
+import types
 import warnings
 
 import numpy as np
 
 __all__ = [
     "HAVE_NUMBA", "REQUESTED", "ENABLED", "THREADS", "THREADED",
-    "compile_kernel", "compile_parallel", "configure_threads",
+    "compile_kernel", "configure_threads",
     "walk_steps_impl", "tree_build_impl", "reverse_blocks_impl",
-    "walk_steps_parallel_impl", "tree_build_parallel_impl",
-    "reverse_blocks_parallel_impl",
     "walk_kernel", "tree_kernel", "reverse_blocks",
 ]
 
@@ -130,22 +130,26 @@ if THREADS > 0 and not ENABLED:
     )
 
 #: ``numba.prange`` when numba is importable, plain ``range`` otherwise —
-#: so the ``*_parallel_impl`` variants run (serially) uncompiled too.
+#: so the ``*_impl`` trial loops run (serially) uncompiled too.
 prange = numba.prange if HAVE_NUMBA else range
 
 
-def compile_kernel(fn):
-    """``numba.njit(cache=True)`` when enabled; the function unchanged otherwise."""
-    if ENABLED:  # pragma: no cover - exercised only in the CI jit variant
-        return numba.njit(cache=True)(fn)
-    return fn
+def compile_kernel(fn, parallel=False):
+    """``numba.njit(cache=True)`` when enabled; the function unchanged otherwise.
 
-
-def compile_parallel(fn):
-    """``numba.njit(parallel=True, cache=True)`` when enabled; identity otherwise."""
-    if ENABLED:  # pragma: no cover - exercised only in the CI jit variant
-        return numba.njit(parallel=True, cache=True)(fn)
-    return fn
+    ``parallel=True`` compiles with ``parallel=True`` (``prange`` loops
+    run threaded) from a copy of ``fn`` whose ``__qualname__`` gains a
+    ``_parallel`` suffix: numba names an on-disk cache entry by source
+    file, qualified name and first line — not by ``parallel=`` — so
+    without the rename the two builds would load each other's binary.
+    """
+    if not ENABLED:
+        return fn
+    if parallel:  # pragma: no cover - exercised only in the CI jit variants
+        twin = types.FunctionType(fn.__code__, fn.__globals__)
+        twin.__qualname__ = fn.__qualname__ + "_parallel"
+        return numba.njit(parallel=True, cache=True)(twin)
+    return numba.njit(cache=True)(fn)  # pragma: no cover - CI jit variants
 
 
 # -- uint64 constants (kept typed: see the module docstring) ---------------
@@ -187,7 +191,7 @@ def walk_steps_impl(order, ip, idx, twins, wp, bits, alive,
     descriptors to one forward run per finished trial afterwards.
     All outcome vectors receive the values the numpy passes write.
     """
-    for t in range(order.size):
+    for t in prange(order.size):
         b = order[t]
         h = head[b]
         row0 = b * stride
@@ -335,230 +339,8 @@ def tree_build_impl(ip, idx, roots, expect, live, stride,
     participant count (``n`` for full blocks, the colour-class size
     for partition walks); ``ok`` records whether the BFS reached all
     of them.  Skipped (non-live) trials keep depth -1 everywhere.
-    """
-    queue = np.empty(stride, dtype=np.int64)
-    for b in range(roots.size):
-        if not live[b]:
-            continue
-        base = b * stride
-        r = np.int64(roots[b])
-        depth[r] = 0
-        queue[0] = r
-        qh = 0
-        qt = 1
-        reached = 1
-        maxd = 0
-        while qh < qt:
-            v = queue[qh]
-            qh += 1
-            dnext = depth[v] + 1
-            for e in range(ip[v], ip[v + 1]):
-                w = np.int64(idx[e])
-                if depth[w] < 0:
-                    depth[w] = dnext
-                    if dnext > maxd:
-                        maxd = dnext
-                    queue[qt] = w
-                    qt += 1
-                    reached += 1
-        ok[b] = reached == expect[b]
-        tree_depth[b] = maxd
-        for v in range(base, base + stride):
-            dv = depth[v]
-            if dv <= 0:
-                continue
-            for e in range(ip[v], ip[v + 1]):
-                w = np.int64(idx[e])
-                if depth[w] == dv - 1:
-                    parent[v] = w
-                    break
-
-
-def reverse_blocks_impl(path_flat, pos, rows, los, highs, size):
-    """In-place suffix reversals for walks that keep eager positions."""
-    for t in range(rows.size):
-        base = rows[t] * size
-        i = base + los[t]
-        j = base + highs[t] - 1
-        while i < j:
-            tmp = path_flat[i]
-            path_flat[i] = path_flat[j]
-            path_flat[j] = tmp
-            i += 1
-            j -= 1
-        for c in range(los[t], highs[t]):
-            pos[path_flat[base + c]] = c
-
-
-# -- threaded (prange-over-lanes) variants ---------------------------------
-#
-# Byte-for-byte copies of the serial impls with the outer trial loop
-# swapped to ``prange``.  The bodies must stay textually in sync with
-# their serial twins — the batch-kernel equality tests pin all of
-# serial / parallel / numpy to identical outputs, so a divergence is a
-# test failure, not silent drift.  Duplication over cleverness here:
-# numba resolves ``prange`` lexically inside the compiled function, so
-# the loop construct cannot be parameterised without defeating
-# ``parallel=True`` analysis or on-disk caching.
-
-def walk_steps_parallel_impl(order, ip, idx, twins, wp, bits, alive,
-                             sh, sl, ih, il, word, pend,
-                             buf, bpos, tails, sizes, budgets, rot_costs,
-                             head, plen, rounds, steps, rotations, extensions,
-                             success, fail_code, end_round, flood, live,
-                             stride, fail_budget, fail_no_edges):
-    """:func:`walk_steps_impl` with the trial loop parallelised.
-
-    Every array the body touches is indexed through the lane's own
-    trial id ``b`` (outcome slots), node-id block (RNG state, live
-    bits, positions) or row block (path buffer), so lanes never share
-    a writable element and the per-lane draw order is unchanged: the
-    threaded kernel is bitwise-identical to the serial one.
-    """
-    for t in prange(order.size):
-        b = order[t]
-        h = head[b]
-        row0 = b * stride
-        step = 1
-        while True:
-            if step > budgets[b]:
-                fail_code[b] = fail_budget
-                flood[b] = h
-                end_round[b] = rounds[b]
-                live[b] = False
-                break
-            cnt = alive[h]
-            if cnt == 0:
-                fail_code[b] = fail_no_edges
-                flood[b] = h
-                end_round[b] = rounds[b]
-                live[b] = False
-                break
-            # One bounded draw from node h's half-word stream (Lemire
-            # multiply-shift with rejection; bound 1 consumes nothing).
-            if cnt == 1:
-                draw = 0
-            else:
-                c = np.uint64(cnt)
-                threshold = (_RANGE32 - c) % c
-                while True:
-                    if pend[h]:
-                        half = word[h] >> _U32
-                        pend[h] = False
-                    else:
-                        lo_ = sl[h]
-                        hi_ = sh[h]
-                        al = lo_ & _MASK32
-                        ah = lo_ >> _U32
-                        mid1 = ah * _PCG_ML_LO
-                        mid2 = al * _PCG_ML_HI
-                        spill = ((al * _PCG_ML_LO >> _U32)
-                                 + (mid1 & _MASK32)
-                                 + (mid2 & _MASK32)) >> _U32
-                        mulhi = (ah * _PCG_ML_HI + (mid1 >> _U32)
-                                 + (mid2 >> _U32) + spill)
-                        nlo = lo_ * _PCG_ML
-                        nhi = mulhi + lo_ * _PCG_MH + hi_ * _PCG_ML
-                        out_lo = nlo + il[h]
-                        out_hi = nhi + ih[h]
-                        if out_lo < nlo:
-                            out_hi = out_hi + _U1
-                        sl[h] = out_lo
-                        sh[h] = out_hi
-                        x = out_hi ^ out_lo
-                        rot = out_hi >> _U58
-                        w64 = (x >> rot) | (x << ((_U64 - rot) & _U63))
-                        word[h] = w64
-                        half = w64 & _MASK32
-                        pend[h] = True
-                    m = half * c
-                    if (m & _MASK32) >= threshold:
-                        draw = np.int64(m >> _U32)
-                        break
-            # The draw-th live bit of row h: word by popcount prefix,
-            # then an LSB-first in-word scan (same rank rule as the
-            # numpy binary select).
-            w = np.int64(wp[h])
-            rem = draw
-            base = 0
-            wv = _U0
-            while True:
-                wv = bits[w]
-                pc = 0
-                tmp = wv
-                while tmp != _U0:
-                    pc += 1
-                    tmp &= tmp - _U1
-                if rem < pc:
-                    break
-                rem -= pc
-                w += 1
-                base += 64
-            j = 0
-            while True:
-                if wv & _U1:
-                    if rem == 0:
-                        break
-                    rem -= 1
-                wv >>= _U1
-                j += 1
-            off = base + j
-            slot = ip[h] + off
-            target = np.int64(idx[slot])
-            # Kill the used edge in both directions.
-            toff = np.int64(twins[slot]) - ip[target]
-            bits[w] &= ~(_U1 << np.uint64(j))
-            bits[np.int64(wp[target]) + (toff >> 6)] &= \
-                ~(_U1 << np.uint64(toff & 63))
-            alive[h] -= 1
-            alive[target] -= 1
-            steps[b] = step
-
-            tp = np.int64(bpos[target])
-            if tp < 0:
-                length = plen[b]
-                bpos[target] = length
-                buf[row0 + length] = target
-                plen[b] = length + 1
-                h = target
-                rounds[b] += 1
-                extensions[b] += 1
-            elif target == tails[b] and plen[b] == sizes[b]:
-                success[b] = True
-                flood[b] = target
-                end_round[b] = rounds[b] + 1
-                live[b] = False
-                break
-            else:
-                # Rotation: reverse the path suffix after the target;
-                # the new head is the target's old path successor.
-                lo2 = tp + 1
-                hi2 = np.int64(plen[b])
-                i = row0 + lo2
-                j2 = row0 + hi2 - 1
-                while i < j2:
-                    tmpv = buf[i]
-                    buf[i] = buf[j2]
-                    buf[j2] = tmpv
-                    i += 1
-                    j2 -= 1
-                for cpos in range(lo2, hi2):
-                    bpos[buf[row0 + cpos]] = cpos
-                h = np.int64(buf[row0 + hi2 - 1])
-                rounds[b] += rot_costs[b]
-                rotations[b] += 1
-            step += 1
-        head[b] = h
-
-
-def tree_build_parallel_impl(ip, idx, roots, expect, live, stride,
-                             depth, parent, ok, tree_depth):
-    """:func:`tree_build_impl` with the trial loop parallelised.
-
-    The serial impl hoists one shared BFS ``queue`` scratch out of the
-    loop; here it is allocated *inside* the prange body so numba makes
-    it thread-private — the only state in any of the three kernels
-    that is not already per-lane.
+    The BFS queue is allocated per trial, so each lane of the threaded
+    build owns its own.
     """
     for b in prange(roots.size):
         if not live[b]:
@@ -598,11 +380,12 @@ def tree_build_parallel_impl(ip, idx, roots, expect, live, stride,
                     break
 
 
-def reverse_blocks_parallel_impl(path_flat, pos, rows, los, highs, size):
-    """:func:`reverse_blocks_impl` with the row loop parallelised.
+def reverse_blocks_impl(path_flat, pos, rows, los, highs, size):
+    """In-place suffix reversals for walks that keep eager positions.
 
     ``rows`` lists distinct trials, each owning a disjoint
-    ``size``-slot block of ``path_flat`` and node-id block of ``pos``.
+    ``size``-slot block of ``path_flat`` and node-id block of ``pos``,
+    so the threaded build's lanes never share a written element.
     """
     for t in prange(rows.size):
         base = rows[t] * size
@@ -620,35 +403,23 @@ def reverse_blocks_parallel_impl(path_flat, pos, rows, los, highs, size):
 
 # -- dispatch --------------------------------------------------------------
 
-_serial_kernels = None
-_parallel_kernels = None
+_compiled = {}
 
 
 def _kernels(parallel):
-    """Compiled (serial or prange) kernel triple, built once per process."""
-    global _serial_kernels, _parallel_kernels
-    if parallel:
-        if _parallel_kernels is None:  # pragma: no cover - CI jit lane
-            _parallel_kernels = (
-                compile_parallel(walk_steps_parallel_impl),
-                compile_parallel(tree_build_parallel_impl),
-                compile_parallel(reverse_blocks_parallel_impl),
-            )
-        return _parallel_kernels
-    if _serial_kernels is None:  # pragma: no cover - CI jit lane
-        _serial_kernels = (
-            compile_kernel(walk_steps_impl),
-            compile_kernel(tree_build_impl),
-            compile_kernel(reverse_blocks_impl),
-        )
-    return _serial_kernels
+    """Compiled (serial or threaded) kernel triple, built once per process."""
+    if parallel not in _compiled:  # pragma: no cover - CI jit lane
+        _compiled[parallel] = tuple(
+            compile_kernel(fn, parallel)
+            for fn in (walk_steps_impl, tree_build_impl, reverse_blocks_impl))
+    return _compiled[parallel]
 
 
 def configure_threads(threads):
     """Re-point the dispatch kernels at runtime (bench thread-scaling lane).
 
     ``threads == 0`` selects the serial njit kernels, ``threads > 0``
-    the prange kernels with ``numba.set_num_threads(threads)``.
+    the ``parallel=True`` build with ``numba.set_num_threads(threads)``.
     Returns ``False`` — leaving the current dispatch untouched — when
     the compiled backend is unavailable or ``threads`` exceeds the
     pool numba launched with (``NUMBA_NUM_THREADS``); callers record

@@ -118,10 +118,10 @@ class EngineSpec:
         (results stay bitwise identical to the numpy path either way;
         purely informational — ``repro engines`` lists it).
     threads:
-        True when the runner's compiled kernels have prange-over-lanes
-        variants that ``REPRO_JIT_THREADS=N`` runs on N cores (implies
-        ``jit``; results stay bitwise identical — see the threading
-        section of :mod:`repro.engines._jit`).  The CLI's sweep
+        True when the runner's compiled kernels have a threaded
+        (``parallel=True``) build that ``REPRO_JIT_THREADS=N`` runs on
+        N cores (implies ``jit``; results stay bitwise identical — see
+        the threading section of :mod:`repro.engines._jit`).  The CLI's sweep
         parallelism rule consults it: an active threaded kernel makes
         auto-batching beat process fan-out.
     priority:

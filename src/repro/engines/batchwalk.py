@@ -93,9 +93,9 @@ independent, so per-trial completion order equals pass-interleaved
 order stream by stream).  The fallback is pure numpy and the default;
 dispatch looks the kernels up on :mod:`repro.engines._jit` at call
 time so a host can toggle them within one process.  Under
-``REPRO_JIT_THREADS=N`` the dispatch attributes point at prange
-variants of the same kernels that run the trial lanes on N cores —
-still bitwise identical, because each lane touches only its own
+``REPRO_JIT_THREADS=N`` the dispatch attributes point at the
+``parallel=True`` build of the same kernel sources, which runs the
+trial lanes on N cores — still bitwise identical, because each lane touches only its own
 disjoint node-id block and RNG state rows (see the threading section
 of :mod:`repro.engines._jit`).
 """

@@ -32,8 +32,6 @@ decision-identical to it seed for seed.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.analysis.bounds import diameter_budget, dra_step_budget
@@ -41,7 +39,7 @@ from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
 from repro.verify.hamiltonicity import CycleViolation, verify_cycle
 
-__all__ = ["run_dra_fast", "SpanningTree", "build_min_id_bfs_tree", "bfs_completion_round"]
+__all__ = ["SpanningTree", "build_min_id_bfs_tree", "bfs_completion_round"]
 
 
 class SpanningTree:
@@ -140,25 +138,6 @@ def bfs_completion_round(tree: SpanningTree, neighbors_of, start_round: int) -> 
         kid = max((done[c] + 1 for c in tree.children[v]), default=0)
         done[v] = max(join_v + 1, resp, kid)
     return done[tree.root]
-
-
-def run_dra_fast(
-    graph: Graph,
-    *,
-    seed: int = 0,
-    step_budget: int | None = None,
-) -> RunResult:
-    """Deprecated direct entry point — use ``repro.run(graph, "dra", engine="fast")``.
-
-    Kept as a thin wrapper over the registry-registered implementation
-    so out-of-tree scripts written against the pre-registry API keep
-    working unchanged.
-    """
-    warnings.warn(
-        "run_dra_fast is deprecated; use repro.run(graph, 'dra', engine='fast') "
-        "or repro.engines.registry.REGISTRY.get('dra', 'fast')",
-        DeprecationWarning, stacklevel=2)
-    return _dra_fast(graph, seed=seed, step_budget=step_budget)
 
 
 def _dra_fast(

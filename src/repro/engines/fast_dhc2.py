@@ -26,8 +26,6 @@ Phase 2 is deterministic and shared verbatim by both.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.analysis.bounds import diameter_budget, dra_step_budget
@@ -39,27 +37,7 @@ from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph, csr_sources
 from repro.verify.hamiltonicity import CycleViolation, verify_cycle
 
-__all__ = ["run_dhc2_fast"]
-
-
-def run_dhc2_fast(
-    graph: Graph,
-    *,
-    delta: float = 0.5,
-    k: int | None = None,
-    seed: int = 0,
-) -> RunResult:
-    """Deprecated direct entry point — use ``repro.run(graph, "dhc2", engine="fast")``.
-
-    Kept as a thin wrapper over the registry-registered implementation
-    so out-of-tree scripts written against the pre-registry API keep
-    working unchanged.
-    """
-    warnings.warn(
-        "run_dhc2_fast is deprecated; use repro.run(graph, 'dhc2', engine='fast') "
-        "or repro.engines.registry.REGISTRY.get('dhc2', 'fast')",
-        DeprecationWarning, stacklevel=2)
-    return _dhc2_fast(graph, delta=delta, k=k, seed=seed)
+__all__ = ["_dhc2_fast"]
 
 
 def _dhc2_fast(
@@ -211,23 +189,6 @@ def _level_cost(merged_size: int) -> int:
     return 24 + 8 * diam
 
 
-def _merge_pair(graph: Graph, a_cycle: list[int], b_cycle: list[int], has_edge):
-    """Replay the deterministic bridge selection and splice the cycles.
-
-    Mirrors :class:`repro.core.merge.MergeMachine`: per active node ``v``
-    (with successor ``u``), each partner-colour neighbour ``w`` answers
-    with ``w' = succ(w)`` preferred over ``pred(w)``; ``v`` keeps the
-    smallest ``w``; the winner is the smallest ``(v, w)``.
-
-    With the graph's own adjacency test (the normal case) the candidate
-    scan runs vectorised over the CSR; a caller-supplied ``has_edge``
-    (e.g. an ablated rule) takes the reference Python path.
-    """
-    if has_edge == graph.has_edge:
-        return _merge_pair_vec(graph, a_cycle, b_cycle)
-    return _merge_pair_py(graph, a_cycle, b_cycle, has_edge)
-
-
 def _edge_keys(graph: Graph) -> np.ndarray:
     """Sorted ``src * n + dst`` keys of the directed edges (CSR order)."""
     return csr_sources(graph.indptr) * graph.n + graph.indices
@@ -235,11 +196,15 @@ def _edge_keys(graph: Graph) -> np.ndarray:
 
 def _merge_pair_vec(graph: Graph, a_cycle: list[int], b_cycle: list[int],
                     keys: np.ndarray | None = None):
-    """Vectorised bridge selection: one masked scan over A's CSR rows.
+    """Replay the deterministic bridge selection and splice the cycles.
 
-    The winner is the lexicographically smallest valid ``(v, w)`` with
-    ``w' = succ(w)`` preferred at that pair — exactly the selection the
-    per-node Python loop makes, so both produce the same splice.
+    Mirrors :class:`repro.core.merge.MergeMachine`: per active node ``v``
+    (with successor ``u``), each partner-colour neighbour ``w`` answers
+    with ``w' = succ(w)`` preferred over ``pred(w)``; ``v`` keeps the
+    smallest ``w``; the winner is the smallest ``(v, w)``.  Here that
+    is one masked scan over A's CSR rows: the lexicographically
+    smallest valid ``(v, w)``, with ``succ(w)`` preferred at that pair.
+    Returns ``None`` when no bridge exists.
     """
     from repro.engines.arraywalk import gather_neighbors
 
@@ -305,46 +270,6 @@ def _pairs_present(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     slots = np.searchsorted(sorted_keys, queries)
     slots[slots == sorted_keys.size] = 0  # any in-range slot; compared next
     return sorted_keys[slots] == queries
-
-
-def _merge_pair_py(graph: Graph, a_cycle: list[int], b_cycle: list[int],
-                   has_edge):
-    """Reference per-node scan, kept for ablations with a custom rule."""
-    s_a, s_b = len(a_cycle), len(b_cycle)
-    b_pos = {v: i for i, v in enumerate(b_cycle)}
-    b_set = set(b_cycle)
-    best = None  # (v, w, u, wp, direction, w_pos, v_pos)
-    for v_pos, v in enumerate(a_cycle):
-        u = a_cycle[(v_pos + 1) % s_a]
-        local = None
-        for w in graph.neighbors(v):
-            w = int(w)
-            if w not in b_set:
-                continue
-            wp_succ = b_cycle[(b_pos[w] + 1) % s_b]
-            wp_pred = b_cycle[(b_pos[w] - 1) % s_b]
-            if has_edge(u, wp_succ):
-                cand = (w, wp_succ, 0)
-            elif has_edge(u, wp_pred):
-                cand = (w, wp_pred, 1)
-            else:
-                continue
-            if local is None or cand[0] < local[0]:
-                local = cand
-        if local is not None:
-            cand = (v, local[0], u, local[1], local[2], b_pos[local[0]], v_pos)
-            if best is None or (cand[0], cand[1]) < (best[0], best[1]):
-                best = cand
-    if best is None:
-        return None
-    v, w, u, wp, direction, w_pos, v_pos = best
-    if direction == 0:  # w' = succ(w): walk B backwards from w
-        b_seq = [b_cycle[(w_pos - t) % s_b] for t in range(s_b)]
-    else:  # w' = pred(w): keep B's orientation
-        b_seq = [b_cycle[(w_pos + t) % s_b] for t in range(s_b)]
-    u_pos = (v_pos + 1) % s_a
-    a_seq = a_cycle[u_pos:] + a_cycle[:u_pos]  # u ... v
-    return b_seq + a_seq  # w ... w' , u ... v  (closes v -> w)
 
 
 def _fail(n: int, colors: int, rounds: int, reason: str,

@@ -83,3 +83,8 @@ class TestPowerLawFit:
             fit_power_law([1.0], [2.0])
         with pytest.raises(ValueError):
             fit_power_law([1.0, -2.0], [2.0, 3.0])
+
+    def test_rejects_equal_xs(self):
+        # All x equal: the log-space slope is 0/0, not a number.
+        with pytest.raises(ValueError, match="distinct"):
+            fit_power_law([64.0, 64.0, 64.0], [10.0, 12.0, 11.0])

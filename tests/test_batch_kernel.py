@@ -7,14 +7,13 @@ The fused batch kernels (:func:`~repro.engines._jit.walk_steps_impl`,
 compiles them.  These tests enforce that promise on every host by
 installing the ``*_impl`` functions **uncompiled** as the dispatch
 targets — the exact code numba would compile, minus the compilation —
-and holding every RunResult field against the numpy path.  The
-``*_parallel_impl`` threaded variants carry the same promise (prange
-degrades to ``range`` uncompiled, so this also pins the parallel
-bodies to their serial twins), and every equality check here runs
-them as a third path.  The CI jit lanes (``REPRO_JIT=1`` with numba
-installed; one with ``REPRO_JIT_THREADS=2``) re-run the whole suite
-with the kernels actually compiled — serial and threaded — closing
-the loop.
+and holding every RunResult field against the numpy path.  Each
+kernel has one source, compiled serial or threaded from the same
+body (its outer ``prange`` loop is plain ``range`` uncompiled), so
+these checks cover both builds' code.  The CI jit lanes
+(``REPRO_JIT=1`` with numba installed; one with
+``REPRO_JIT_THREADS=2``) re-run the whole suite with the kernels
+actually compiled — serial and threaded — closing the loop.
 """
 
 import math
@@ -26,6 +25,7 @@ from repro.engines import _jit
 from repro.engines.arraywalk import edge_twins
 from repro.engines.batchwalk import (
     build_batch_tree,
+    reverse_path_blocks,
     stack_graph_csrs,
     stacked_edge_twins,
 )
@@ -81,23 +81,13 @@ class TestFusedKernelEquality:
             m.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
             m.setattr(_jit, "reverse_blocks", _jit.reverse_blocks_impl)
             fused = runner(graphs, seeds=seeds, **kwargs)
-        with monkeypatch.context() as m:
-            # The threaded variants, uncompiled (prange == range here):
-            # pins the parallel loop bodies to the serial results too.
-            m.setattr(_jit, "walk_kernel", _jit.walk_steps_parallel_impl)
-            m.setattr(_jit, "tree_kernel", _jit.tree_build_parallel_impl)
-            m.setattr(_jit, "reverse_blocks",
-                      _jit.reverse_blocks_parallel_impl)
-            threaded = runner(graphs, seeds=seeds, **kwargs)
-        assert len(fused) == len(plain) == len(threaded) == len(graphs)
+        assert len(fused) == len(plain) == len(graphs)
         outcomes = set()
-        for i, (a, b, c) in enumerate(zip(fused, plain, threaded)):
+        for i, (a, b) in enumerate(zip(fused, plain)):
             outcomes.add(b.success)
             for field in FIELDS:
                 assert getattr(a, field) == getattr(b, field), (
                     f"{algorithm}: trial {i} field {field}")
-                assert getattr(c, field) == getattr(b, field), (
-                    f"{algorithm} (parallel impl): trial {i} field {field}")
         return outcomes
 
     @pytest.mark.parametrize("algorithm", sorted(BATCH_RUNNERS))
@@ -122,6 +112,26 @@ class TestFusedKernelEquality:
         self.assert_paths_identical("dra", graphs, seeds, monkeypatch,
                                     step_budget=7)
 
+    def test_walk_trial_order_does_not_matter(self, monkeypatch):
+        # The threaded build may run the trial lanes in any order; each
+        # lane owns its own streams and slots, so walking the listed
+        # trials back to front must give the numpy results too.
+        def reversed_walk(order, *args):
+            _jit.walk_steps_impl(order[::-1].copy(), *args)
+
+        graphs, seeds = mixed_batch(96, 6)
+        runner = BATCH_RUNNERS["dra"]
+        with monkeypatch.context() as m:
+            m.setattr(_jit, "walk_kernel", None)
+            plain = runner(graphs, seeds=seeds)
+        with monkeypatch.context() as m:
+            m.setattr(_jit, "walk_kernel", reversed_walk)
+            backwards = runner(graphs, seeds=seeds)
+        for i, (a, b) in enumerate(zip(backwards, plain)):
+            for field in FIELDS:
+                assert getattr(a, field) == getattr(b, field), (
+                    f"trial {i} field {field}")
+
     def test_dhc2_partition_walks(self, monkeypatch):
         # Explicit k forces empty / disconnected colour classes, so the
         # fused walk runs with per-trial sizes below the block size.
@@ -131,9 +141,7 @@ class TestFusedKernelEquality:
 
 
 class TestFusedTreeKernel:
-    @pytest.mark.parametrize("impl_name",
-                             ["tree_build_impl", "tree_build_parallel_impl"])
-    def test_tree_matches_numpy(self, impl_name, monkeypatch):
+    def test_tree_matches_numpy(self, monkeypatch):
         graphs = [sample(32, 8.0, 20 + i) for i in range(5)]
         indptr, indices = stack_graph_csrs(graphs)
         roots = np.arange(5, dtype=np.int64) * 32
@@ -141,16 +149,51 @@ class TestFusedTreeKernel:
             m.setattr(_jit, "tree_kernel", None)
             plain = build_batch_tree(indptr, indices, 5, 32, roots)
         with monkeypatch.context() as m:
-            m.setattr(_jit, "tree_kernel", getattr(_jit, impl_name))
+            m.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
             fused = build_batch_tree(indptr, indices, 5, 32, roots)
         np.testing.assert_array_equal(fused.depth, plain.depth)
         np.testing.assert_array_equal(fused.parent, plain.parent)
         np.testing.assert_array_equal(fused.ok, plain.ok)
         np.testing.assert_array_equal(fused.tree_depth, plain.tree_depth)
 
+    def test_tree_trials_are_independent(self):
+        # Each trial's BFS uses its own queue and node-id block: building
+        # one trial alone fills exactly its block of the full build, and
+        # the skipped trials keep depth -1 everywhere.
+        # Mixed densities give the trials different tree depths.
+        factors = (1.5, 8.0, 3.0, 12.0)
+        batch, n = len(factors), 24
+        graphs = [sample(n, f, 60 + i) for i, f in enumerate(factors)]
+        indptr, indices = stack_graph_csrs(graphs)
+        ip = np.asarray(indptr, dtype=np.int64)
+        roots = np.arange(batch, dtype=np.int64) * n + 3
+        expect = np.full(batch, n, dtype=np.int64)
 
-class TestParallelImpls:
-    def test_reverse_blocks_parallel_matches_serial(self):
+        def build(live):
+            depth = np.full(batch * n, -1, dtype=np.int64)
+            parent = np.full(batch * n, -1, dtype=np.int64)
+            ok = np.zeros(batch, dtype=bool)
+            tree_depth = np.zeros(batch, dtype=np.int64)
+            _jit.tree_build_impl(ip, indices, roots, expect, live, n,
+                                 depth, parent, ok, tree_depth)
+            return depth, parent, ok, tree_depth
+
+        depth, parent, ok, tree_depth = build(np.ones(batch, dtype=bool))
+        for b in range(batch):
+            live = np.zeros(batch, dtype=bool)
+            live[b] = True
+            d1, p1, ok1, td1 = build(live)
+            block = slice(b * n, (b + 1) * n)
+            np.testing.assert_array_equal(d1[block], depth[block])
+            np.testing.assert_array_equal(p1[block], parent[block])
+            assert ok1[b] == ok[b] and td1[b] == tree_depth[b]
+            rest = np.ones(batch * n, dtype=bool)
+            rest[block] = False
+            assert (d1[rest] == -1).all()
+
+
+class TestReverseBlocksKernel:
+    def test_matches_numpy_reversal(self, monkeypatch):
         rng = np.random.default_rng(7)
         batch, size = 6, 17
         rows = np.array([0, 2, 3, 5], dtype=np.int64)
@@ -166,27 +209,13 @@ class TestParallelImpls:
         pos_a[flat_a] = np.tile(np.arange(size, dtype=np.int64), batch)
         pos_b = pos_a.copy()
         original = flat_a.copy()
-        _jit.reverse_blocks_impl(flat_a, pos_a, rows, los, highs, size)
-        _jit.reverse_blocks_parallel_impl(flat_b, pos_b, rows, los, highs,
-                                          size)
+        with monkeypatch.context() as m:
+            m.setattr(_jit, "reverse_blocks", None)
+            reverse_path_blocks(flat_a, pos_a, rows, los, highs, size)
+        _jit.reverse_blocks_impl(flat_b, pos_b, rows, los, highs, size)
         assert not np.array_equal(flat_a, original)  # something reversed
-        np.testing.assert_array_equal(flat_a, flat_b)
-        np.testing.assert_array_equal(pos_a, pos_b)
-
-    def test_parallel_bodies_stay_in_sync(self):
-        # The parallel variants are textual copies of the serial impls
-        # with the outer loop swapped (and the tree queue made
-        # loop-local).  Guard the docstring promise cheaply: identical
-        # argument lists.
-        import inspect
-
-        for serial, parallel in [
-            (_jit.walk_steps_impl, _jit.walk_steps_parallel_impl),
-            (_jit.tree_build_impl, _jit.tree_build_parallel_impl),
-            (_jit.reverse_blocks_impl, _jit.reverse_blocks_parallel_impl),
-        ]:
-            assert (inspect.signature(serial)
-                    == inspect.signature(parallel))
+        np.testing.assert_array_equal(flat_b, flat_a)
+        np.testing.assert_array_equal(pos_b, pos_a)
 
 
 class TestStackedEdgeTwins:

@@ -132,7 +132,8 @@ class TestRunCommand:
 
     def test_gnm_model(self, capsys):
         code, out, _ = run_cli(
-            capsys, "run", "--algorithm", "dra-fast", "--nodes", "64",
+            capsys, "run", "--algorithm", "dra", "--engine", "fast",
+            "--nodes", "64",
             "--model", "gnm", "--seed", "2", "--json")
         payload = json.loads(out)
         assert payload["m"] > 0
@@ -141,7 +142,8 @@ class TestRunCommand:
         # delta=1, c=2 keeps the matched degree inside the pairing
         # model's samplable range.
         code, out, _ = run_cli(
-            capsys, "run", "--algorithm", "dra-fast", "--nodes", "64",
+            capsys, "run", "--algorithm", "dra", "--engine", "fast",
+            "--nodes", "64",
             "--model", "regular", "--delta", "1.0", "--c", "2",
             "--seed", "2", "--json")
         payload = json.loads(out)
@@ -149,7 +151,8 @@ class TestRunCommand:
 
     def test_regular_model_infeasible_degree_is_a_clean_error(self, capsys):
         code, _, err = run_cli(
-            capsys, "run", "--algorithm", "dra-fast", "--nodes", "64",
+            capsys, "run", "--algorithm", "dra", "--engine", "fast",
+            "--nodes", "64",
             "--model", "regular", "--delta", "0.5", "--c", "6")
         assert code == 2
         assert "pairing model" in err
@@ -196,12 +199,17 @@ class TestEngineSelection:
         assert fast["rounds"] == congest["rounds"]
         assert fast["steps"] == congest["steps"]
 
-    def test_legacy_alias_conflicting_engine_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys, "run", "--algorithm", "dra-fast", "--engine", "congest",
-            "--nodes", "48")
-        assert code == 2
-        assert "implies --engine fast" in err
+    @pytest.mark.parametrize("command", [["run", "--nodes", "48"],
+                                         ["sweep", "--sizes", "48,96"]],
+                             ids=["run", "sweep"])
+    @pytest.mark.parametrize("alias", ["dra-fast", "dhc2-fast"])
+    def test_removed_alias_is_rejected(self, alias, command, capsys):
+        # The pre-registry "<algorithm>-fast" names are gone: argparse
+        # rejects them on both subcommands.
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--algorithm", alias])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{alias}'" in capsys.readouterr().err
 
     def test_sequential_engine(self, capsys):
         code, out, _ = run_cli(
@@ -256,7 +264,7 @@ class TestEnginesCommand:
         assert specs[("dhc2", "fast-batch")]["jit"] is True
         assert specs[("turau", "fast-batch")]["jit"] is False
         assert specs[("dra", "fast")]["jit"] is False
-        # threads marks jit batch entries with prange kernel variants
+        # threads marks jit batch entries with a threaded kernel build
         # (REPRO_JIT_THREADS); it implies jit, so Turau stays out.
         assert specs[("dra", "fast-batch")]["threads"] is True
         assert specs[("cre", "fast-batch")]["threads"] is True
@@ -334,7 +342,7 @@ class TestMergeCommand:
 class TestSweepCommand:
     def test_sweep_fits_exponent(self, capsys):
         code, out, _ = run_cli(
-            capsys, "sweep", "--algorithm", "dra-fast",
+            capsys, "sweep", "--algorithm", "dra", "--engine", "fast",
             "--sizes", "48,96,192", "--trials", "2", "--c", "8",
             "--delta", "1.0", "--json")
         assert code == 0
@@ -344,7 +352,7 @@ class TestSweepCommand:
 
     def test_sweep_table_output(self, capsys):
         code, out, _ = run_cli(
-            capsys, "sweep", "--algorithm", "dra-fast",
+            capsys, "sweep", "--algorithm", "dra", "--engine", "fast",
             "--sizes", "48,96", "--trials", "1", "--c", "8", "--delta", "1.0")
         assert code == 0
         assert "mean rounds" in out
@@ -354,6 +362,27 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--sizes", "64")
         assert code == 2
         assert "two sizes" in err
+
+    def test_sweep_rejects_duplicate_sizes(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--algorithm", "dra", "--engine", "fast",
+            "--sizes", "64,64", "--trials", "1")
+        assert code == 2
+        assert "distinct" in err
+
+    def test_sweep_narrow_sizes_skip_the_fit(self, capsys):
+        # 257/256 is far too narrow a range for a slope: no exponent,
+        # a one-line reason instead.
+        argv = ("sweep", "--algorithm", "dra", "--engine", "fast",
+                "--sizes", "256,257", "--trials", "2", "--c", "8",
+                "--delta", "1.0")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "fitted rounds" not in out
+        assert "no exponent fit" in out and "below 2x" in out
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["fitted_exponent"] is None
 
     def test_sweep_rejects_nonpositive_batch_size(self, capsys):
         code, _, err = run_cli(
@@ -469,13 +498,6 @@ class TestSweepCommand:
             "--k-machines", "2", "--nodes", "48")
         assert code == 2
         assert "does not support: k" in err
-
-    def test_kmachines_with_legacy_alias_suggests_base_name(self, capsys):
-        code, _, err = run_cli(
-            capsys, "run", "--algorithm", "dra-fast", "--k-machines", "2",
-            "--nodes", "48")
-        assert code == 2
-        assert "--algorithm dra" in err
 
     def test_sweep_jobs_matches_serial_store(self, capsys, tmp_path):
         """A --jobs sweep writes the same records a serial sweep does."""
@@ -898,7 +920,7 @@ class TestSweepMetrics:
     def test_metrics_report_and_store_sidecar(self, capsys, tmp_path):
         store = tmp_path / "sweep.jsonl"
         code, out, err = run_cli(
-            capsys, "sweep", "--algorithm", "dra-fast",
+            capsys, "sweep", "--algorithm", "dra", "--engine", "fast",
             "--sizes", "32,48", "--trials", "2", "--c", "8",
             "--delta", "1.0", "--seed", "7", "--store", str(store),
             "--metrics", "--json")
@@ -909,7 +931,6 @@ class TestSweepMetrics:
         assert f"metrics -> {sidecar}" in err
         payload = validate_metrics_payload(json.loads(sidecar.read_text()))
         assert payload["kpis"]["trials"] == 4
-        # "dra-fast" is an alias the CLI normalises to (dra, fast).
         assert payload["context"]["algorithm"] == "dra"
         assert payload["context"]["engine"] == "fast"
         assert payload["context"]["schedule"] == "serial"
@@ -917,7 +938,7 @@ class TestSweepMetrics:
     def test_metrics_explicit_path_without_store(self, capsys, tmp_path):
         path = tmp_path / "kpis.json"
         code, _, err = run_cli(
-            capsys, "sweep", "--algorithm", "dra-fast",
+            capsys, "sweep", "--algorithm", "dra", "--engine", "fast",
             "--sizes", "32,48", "--trials", "1", "--c", "8",
             "--delta", "1.0", "--seed", "7", "--metrics", str(path))
         assert code == 0
@@ -927,7 +948,7 @@ class TestSweepMetrics:
 
     def test_metrics_without_store_or_path_reports_only(self, capsys):
         code, _, err = run_cli(
-            capsys, "sweep", "--algorithm", "dra-fast",
+            capsys, "sweep", "--algorithm", "dra", "--engine", "fast",
             "--sizes", "32,48", "--trials", "1", "--c", "8",
             "--delta", "1.0", "--seed", "7", "--metrics")
         assert code == 0
@@ -940,7 +961,7 @@ class TestSweepMetrics:
                              ("parallel", ["--jobs", "2"])):
             paths[label] = tmp_path / f"{label}.json"
             code, _, _ = run_cli(
-                capsys, "sweep", "--algorithm", "dra-fast",
+                capsys, "sweep", "--algorithm", "dra", "--engine", "fast",
                 "--sizes", "32,48", "--trials", "4", "--c", "8",
                 "--delta", "1.0", "--seed", "5",
                 "--metrics", str(paths[label]), *extra)

@@ -47,6 +47,7 @@ def _probe(jit_env, numba_module, threads_env=None):
             return x + 1
 
         compiled = module.compile_kernel(kernel)
+        threaded = module.compile_kernel(kernel, parallel=True)
         return {
             "requested": module.REQUESTED,
             "have_numba": module.HAVE_NUMBA,
@@ -56,6 +57,7 @@ def _probe(jit_env, numba_module, threads_env=None):
             "configure": module.configure_threads,
             "warnings": [str(w.message) for w in caught],
             "passthrough": compiled is kernel,
+            "passthrough_parallel": threaded is kernel,
             "result": compiled(41),
         }
     finally:
@@ -81,8 +83,10 @@ def test_requested_without_numba_warns_and_falls_back():
     assert not probe["have_numba"]
     assert not probe["enabled"]
     assert any("falling back" in message for message in probe["warnings"])
-    # Disabled -> compile_kernel is the identity, not a numba wrapper.
+    # Disabled -> compile_kernel is the identity, not a numba wrapper,
+    # for the serial and the threaded build alike.
     assert probe["passthrough"]
+    assert probe["passthrough_parallel"]
 
 
 def test_not_requested_is_silent_and_disabled():
@@ -91,6 +95,7 @@ def test_not_requested_is_silent_and_disabled():
     assert not probe["enabled"]
     assert not probe["warnings"]
     assert probe["passthrough"]
+    assert probe["passthrough_parallel"]
 
 
 @pytest.mark.skipif(not _jit.HAVE_NUMBA, reason="numba not installed")
@@ -99,7 +104,27 @@ def test_requested_with_numba_compiles():
     assert probe["enabled"]
     assert not probe["warnings"]
     assert not probe["passthrough"]
+    assert not probe["passthrough_parallel"]
     assert probe["result"] == 42
+
+
+@pytest.mark.skipif(not _jit.HAVE_NUMBA, reason="numba not installed")
+def test_one_source_compiles_serial_and_threaded(monkeypatch):
+    # Each fused kernel has one impl; _kernels(False) builds it without
+    # parallel=, _kernels(True) with it, from a renamed copy so the two
+    # builds keep separate on-disk cache entries.
+    monkeypatch.setattr(_jit, "ENABLED", True)
+    monkeypatch.setattr(_jit, "_compiled", {})
+    impls = (_jit.walk_steps_impl, _jit.tree_build_impl,
+             _jit.reverse_blocks_impl)
+    for impl, serial, threaded in zip(impls, _jit._kernels(False),
+                                      _jit._kernels(True)):
+        assert serial.py_func is impl
+        assert threaded.py_func.__code__ is impl.__code__
+        assert not serial.targetoptions.get("parallel")
+        assert threaded.targetoptions.get("parallel")
+        assert (serial._cache._cache_file._index_path
+                != threaded._cache._cache_file._index_path)
 
 
 class TestThreadsParsing:

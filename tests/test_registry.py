@@ -3,12 +3,11 @@
 Covers the dispatch table itself, ``engine="auto"`` resolution,
 capability-driven keyword validation, cross-engine parity for every
 pair that registers both a congest and a fast runner (the spec's
-declared ``parity`` fields must be seed-for-seed identical), the
-k-machine convertibility capability, and the deprecation shims.
+declared ``parity`` fields must be seed-for-seed identical), and the
+k-machine convertibility capability.
 """
 
 import math
-import warnings
 
 import pytest
 
@@ -208,29 +207,3 @@ class TestCapabilityErrorPaths:
         g = dense_graph(8, seed=1)
         with pytest.raises(TypeError, match="does not support: phase_budget"):
             REGISTRY.get("dra", "fast").call(g, seed=1, phase_budget=3)
-
-
-class TestDeprecationShims:
-    def test_run_dra_fast_shim(self):
-        from repro.engines.fast import run_dra_fast
-
-        g = dense_graph(48, seed=4)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            via_shim = run_dra_fast(g, seed=4)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        via_registry = repro.run(g, "dra", engine="fast", seed=4)
-        assert via_shim.cycle == via_registry.cycle
-        assert via_shim.rounds == via_registry.rounds
-
-    def test_run_dhc2_fast_shim(self):
-        from repro.engines.fast_dhc2 import run_dhc2_fast
-
-        g = dense_graph(96, seed=5, factor=10.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            via_shim = run_dhc2_fast(g, k=4, seed=5)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        via_registry = repro.run(g, "dhc2", engine="fast", k=4, seed=5)
-        assert via_shim.cycle == via_registry.cycle
-        assert via_shim.rounds == via_registry.rounds

@@ -57,7 +57,7 @@ class TestRotationArithmetic:
 
 
 def splice(a_cycle, b_cycle, v_pos, w_pos, direction):
-    """DHC2's merge splice (mirrors fast/_merge_pair and MergeMachine)."""
+    """DHC2's merge splice (mirrors fast_dhc2._merge_pair_vec and MergeMachine)."""
     s_a, s_b = len(a_cycle), len(b_cycle)
     if direction == DIR_SUCC:
         b_seq = [b_cycle[(w_pos - t) % s_b] for t in range(s_b)]
