@@ -1,28 +1,15 @@
-"""E15 — engine throughput: fast-py vs fast (array kernel) vs congest.
+"""E15 — engine throughput: fast (array kernel) vs congest.
 
-Measures trials/sec for the step-level engines and the message-level
+Measures trials/sec for the step-level engine and the message-level
 simulator across the sweep sizes, and writes the series to
 ``benchmarks/BENCH_engine_throughput.json`` so future PRs have a
 performance trajectory to compare against.
-
-``fast-py`` is no longer a registered engine (retired after its
-deprecation release); its walkers remain importable as the parity
-suite's oracles, and this benchmark times them via direct import so
-the trajectory series keeps its historical key.
-
-Checks (shape, not absolute numbers):
-
-* the array kernel beats the pure-Python walker at every size;
-* at n=1024 the rotation-walk engine (DRA) clears the >= 5x bar the
-  array-native refactor was accepted on.
 
 Environment knobs (the CI perf-smoke step runs ``E15_SIZES=256``):
 
 * ``E15_SIZES`` — comma-separated node counts (default 256,1024,4096);
 * ``E15_CONGEST_MAX`` — largest n the congest engine is timed at
   (default 256: it is ~3 orders of magnitude off the kernel's pace);
-* ``E15_DHC2_MAX`` — largest n DHC2 is timed at (default 1024: the
-  pure-Python oracle needs tens of seconds per trial above that);
 * ``E15_BATCH_SIZES`` — trial counts per ``fast-batch`` engine pass
   (default 1,32,256), timed for DRA at every size in ``E15_SIZES``;
 * ``E15_OUT`` — also write the run's payload to this path (used by the
@@ -65,7 +52,7 @@ tails (``latency_p50/p90/p99_s`` — the percentile fields
 asserts the collector costs < 2% of sweep wall-clock — observability
 that distorts the sweep it observes would be worse than none.
 
-Points skipped by those caps are reported in the table (no silent
+Points skipped by the congest cap are reported in the table (no silent
 truncation) and recorded as ``null`` in the JSON.
 
 With ``E15_SIZES`` overridden (a smoke run) the speedup assertions are
@@ -83,20 +70,14 @@ from pathlib import Path
 
 import repro
 from repro.engines import _jit
-from repro.engines.fast import _dra_fast_py
-from repro.engines.fast_dhc2 import _dhc2_fast_py
 from repro.engines.registry import REGISTRY
 from repro.graphs import gnp_random_graph
 
 from benchmarks.conftest import show
 
-#: The unregistered pure-Python oracles, timed under their old label.
-_ORACLES = {"dra": _dra_fast_py, "dhc2": _dhc2_fast_py}
-
 FULL_SWEEP = "E15_SIZES" not in os.environ
 SIZES = [int(s) for s in os.environ.get("E15_SIZES", "256,1024,4096").split(",")]
 CONGEST_MAX = int(os.environ.get("E15_CONGEST_MAX", "256"))
-DHC2_MAX = int(os.environ.get("E15_DHC2_MAX", "1024"))
 BATCH_SIZES = [int(b) for b in
                os.environ.get("E15_BATCH_SIZES", "1,32,256").split(",")]
 C = 8.0
@@ -112,30 +93,17 @@ def _graph(algorithm: str, n: int, seed: int):
     return gnp_random_graph(n, p, seed=seed)
 
 
-def _trials_for(engine: str, n: int) -> int:
-    if engine == "congest":
-        return 1
-    if engine == "fast-py" and n >= 4096:
-        return 1  # ~10 s/trial; one is enough for a rate
-    return 3
-
-
-def _dispatch(algorithm: str, engine: str, g, seed: int, **kwargs):
-    if engine == "fast-py":
-        return _ORACLES[algorithm](g, seed=seed, **kwargs)
-    return repro.run(g, algorithm, engine=engine, seed=seed, **kwargs)
-
-
 def _throughput(algorithm: str, engine: str, n: int) -> float:
-    trials = _trials_for(engine, n)
+    trials = 1 if engine == "congest" else 3
     kwargs = {"delta": 0.5} if algorithm == "dhc2" else {}
     graphs = [_graph(algorithm, n, seed=s) for s in range(trials)]
     # Warm up lazy imports / numpy dispatch so the first timed point
     # does not carry one-time costs.
-    _dispatch(algorithm, engine, _graph(algorithm, 64, seed=99), 99, **kwargs)
+    repro.run(_graph(algorithm, 64, seed=99), algorithm, engine=engine,
+              seed=99, **kwargs)
     start = time.perf_counter()
     for seed, g in enumerate(graphs):
-        _dispatch(algorithm, engine, g, seed, **kwargs)
+        repro.run(g, algorithm, engine=engine, seed=seed, **kwargs)
     return trials / (time.perf_counter() - start)
 
 
@@ -308,11 +276,10 @@ def test_e15_engine_throughput(benchmark):
     rows = []
     for algorithm in ("dra", "dhc2"):
         series[algorithm] = {}
-        for engine in ("fast", "fast-py", "congest"):
+        for engine in ("fast", "congest"):
             series[algorithm][engine] = {}
             for n in SIZES:
-                skipped = ((engine == "congest" and n > CONGEST_MAX)
-                           or (algorithm == "dhc2" and n > DHC2_MAX))
+                skipped = engine == "congest" and n > CONGEST_MAX
                 tps = None if skipped else _throughput(algorithm, engine, n)
                 series[algorithm][engine][str(n)] = tps
                 rows.append((algorithm, engine, n,
@@ -440,26 +407,9 @@ def test_e15_engine_throughput(benchmark):
            f"{metrics_lane['overhead_fraction']:.2%}",
            metrics_lane["record_event_seconds"])])
 
-    speedups = {}
-    for algorithm, by_engine in series.items():
-        speedups[algorithm] = {}
-        for n in SIZES:
-            fast = by_engine["fast"][str(n)]
-            slow = by_engine["fast-py"][str(n)]
-            if fast is None or slow is None:
-                continue
-            speedups[algorithm][str(n)] = round(fast / slow, 2)
-    print(f"fast vs fast-py speedups: {speedups}")
     if FULL_SWEEP:
         # Timing gates only on the full local sweep — smoke runs on
         # shared CI runners are completion checks, not perf gates.
-        for algorithm, by_n in speedups.items():
-            for n, ratio in by_n.items():
-                # The kernel must never lose to the walker it replaced.
-                assert ratio > 1.0, (algorithm, n, ratio)
-        # The acceptance bar of the array-native refactor: the
-        # rotation-walk engine at the headline sweep size.
-        assert speedups["dra"]["1024"] >= 5.0, speedups
         # The batched kernel must clearly beat per-trial dispatch at
         # the largest size once the batch amortises fixed costs.  The
         # measured ceiling on this host is ~2.2x (see batch_note in
@@ -486,10 +436,8 @@ def test_e15_engine_throughput(benchmark):
         "sizes": SIZES,
         "c": C,
         "congest_max": CONGEST_MAX,
-        "dhc2_max": DHC2_MAX,
         "batch_sizes": BATCH_SIZES,
         "trials_per_sec": series,
-        "speedup_fast_vs_fast_py": speedups,
         "batch_trials_per_sec": batch_series,
         "batch_fast_ref_trials_per_sec": batch_fast_ref,
         "speedup_fast_batch_vs_fast": batch_speedups,
@@ -571,6 +519,5 @@ def test_e15_engine_throughput(benchmark):
         print(f"wrote {fresh_out}")
 
     benchmark.extra_info["series"] = series
-    benchmark.extra_info["speedups"] = speedups
     benchmark.pedantic(_throughput, args=("dra", "fast", min(SIZES)),
                        rounds=1, iterations=1)

@@ -7,11 +7,9 @@ Three ways to execute the library's algorithms:
 * the step-level fast engine — identical algorithmic decisions and
   RNG streams, with rounds advanced by the deterministic schedule the
   CONGEST protocol follows.  Used for large-n scaling experiments;
-  cross-validated by integration tests.  It runs on the array-native
-  CSR kernel (:mod:`repro.engines.arraywalk`); the pure-Python walker
-  it replaced survives unregistered in :mod:`repro.engines.fast` as
-  the parity suite's test-only oracle (the ``fast-py`` engine name
-  was retired after its deprecation release);
+  cross-validated against the CONGEST engine by integration tests.
+  It runs on the array-native CSR kernel
+  (:mod:`repro.engines.arraywalk`);
 * the sequential engine (:mod:`repro.sequential`) — centralized
   solvers used as oracles and comparators.
 

@@ -1,11 +1,9 @@
 """Array-native execution kernel: CSR rotation walks and tree timing.
 
-This module is the step-level engines' hot core, rewritten on raw CSR
+This module is the step-level engines' hot core, written on raw CSR
 buffers (:attr:`repro.graphs.adjacency.Graph.indptr` /
-:attr:`~repro.graphs.adjacency.Graph.indices`).  The pure-Python
-walker (:class:`repro.engines.fast._FastWalk`) scans a Python edge
-list and a dead-edge *set* on every step; at n=2048 that scan is the
-dominant sweep cost.  Here the same walk runs on:
+:attr:`~repro.graphs.adjacency.Graph.indices`) rather than Python
+edge lists and dead-edge sets.  The rotation walk runs on:
 
 * a **dead-edge bitmask** over the directed CSR entries, with a
   precomputed ``twin`` table so killing an undirected edge is two
@@ -19,13 +17,13 @@ dominant sweep cost.  Here the same walk runs on:
 RNG-parity contract
 -------------------
 The kernel consumes the *same per-node RNG streams in the same
-decision order* as the CONGEST protocol and the pure-Python walker:
+decision order* as the CONGEST protocol:
 at each step the head ``v`` draws exactly one
 ``rngs[v].integers(k)`` where ``k`` is the count of its remaining
 (non-dead) edges, listed in sorted CSR order — the same count and
 order the distributed walk sees.  That invariant is what makes the
-``fast`` engine cycle/step/round-identical to ``congest`` and
-``fast-py`` (enforced by the registry ``parity`` declarations and
+``fast`` engine cycle/step/round-identical to ``congest`` (enforced
+by the registry ``parity`` declarations and
 ``tests/test_engine_parity.py``).
 
 CSR invariants the kernel relies on
@@ -124,11 +122,11 @@ def filtered_csr(indptr: np.ndarray, indices: np.ndarray,
 class ArrayTree:
     """Vectorised replay of the min-id BFS spanning tree.
 
-    Produces the same tree (root, parents, depths) as
-    :func:`repro.engines.fast.build_min_id_bfs_tree` and the same
-    timing quantities (:meth:`completion_round`,
-    :meth:`eccentricity`) as the pure-Python helpers, computed with
-    whole-level numpy operations over the CSR.
+    Produces the same tree (root, parents, depths) as the message-level
+    :class:`~repro.primitives.bfs.BfsTree` and the timing quantities
+    the protocol's rounds follow (:meth:`completion_round`,
+    :meth:`eccentricity`), computed with whole-level numpy operations
+    over the CSR.
     """
 
     __slots__ = ("root", "depth", "parent", "tree_depth", "members",
@@ -152,12 +150,12 @@ class ArrayTree:
     def completion_times(self, start_round: int) -> np.ndarray:
         """Per-member round at which the done-report leaves each node.
 
-        The same recursion as
-        :func:`repro.engines.fast.bfs_completion_round` — ``done(v) =
-        max(join(v) + 1, peer responses, children done + 1)`` —
-        evaluated level by level from the deepest up, with the peer
-        response term computed as one masked scatter-max over the
-        member edges.  The full vector (meaningful at member indices)
+        Mirrors :class:`~repro.primitives.bfs.BfsTree`: ``join(v) =
+        start + depth(v)``, a response from peer ``w`` arrives at
+        ``join(w) + 1``, and ``done(v) = max(join(v) + 1, peer
+        responses, children done + 1)`` — evaluated level by level
+        from the deepest up, with the peer response term computed as
+        one masked scatter-max over the member edges.  The full vector (meaningful at member indices)
         is what the native k-machine engine's traffic model needs; the
         root's entry is the commit round the fast engines use.
         """
@@ -219,9 +217,9 @@ def build_array_tree(indptr: np.ndarray, indices: np.ndarray,
     deadline).
 
     The CSR must be member-closed (see module docstring).  Matches
-    :func:`repro.engines.fast.build_min_id_bfs_tree`: BFS depths from
-    ``root``, then each non-root member's parent is its *minimum-id*
-    neighbour one level up — the offer the distributed protocol keeps.
+    :class:`~repro.primitives.bfs.BfsTree`: BFS depths from ``root``,
+    then each non-root member's parent is its *minimum-id* neighbour
+    one level up — the offer the distributed protocol keeps.
     """
     n = len(indptr) - 1
     depth = np.full(n, -1, dtype=np.int64)
@@ -255,12 +253,14 @@ def build_array_tree(indptr: np.ndarray, indices: np.ndarray,
 class ArrayWalk:
     """The rotation walk of Algorithm 1 on CSR buffers.
 
-    Decision-identical to :class:`repro.engines.fast._FastWalk` in its
-    unported mode (the mode both step-level engines use): same RNG
-    draws, same edge kills, same extension/rotation/win sequence, same
-    round accounting and failure codes.  The ported (DHC1 virtual
-    walk) variant stays on the Python walker — port bookkeeping is
-    per-edge state the bitmask does not model.
+    Decision-identical to the unported
+    :class:`repro.core.rotation.RotationWalk` (the mode DRA and the
+    DHC Phase-1 class walks use): same RNG draws, same edge kills,
+    same extension/rotation/win sequence, same round accounting and
+    failure codes.  A rotation costs ``2 * tree_depth + 3`` rounds.
+    The ported DHC1 virtual walk has its own walker
+    (:class:`repro.engines.kmachine_dhc1._PortedWalk`) — port
+    bookkeeping is per-edge state the bitmask does not model.
 
     Parameters
     ----------
@@ -279,21 +279,20 @@ class ArrayWalk:
     """
 
     __slots__ = ("size", "rngs", "initial_head", "step_budget", "tree_depth",
-                 "round", "latency", "success", "fail_code", "steps",
+                 "round", "success", "fail_code", "steps",
                  "rotations", "extensions", "retries", "end_round",
                  "flood_initiator", "trace", "_indptr", "_indices", "_twins",
                  "_alive", "_path", "_pos", "_plen")
 
     def __init__(self, *, indptr, indices, twins, alive, rngs, size,
                  initial_head, step_budget, tree_depth, start_round,
-                 latency=1, trace=None):
+                 trace=None):
         self.size = size
         self.rngs = rngs
         self.initial_head = initial_head
         self.step_budget = step_budget
         self.tree_depth = tree_depth
         self.round = start_round
-        self.latency = max(1, latency)
 
         self.success = False
         self.fail_code = 0
@@ -338,7 +337,7 @@ class ArrayWalk:
         row = self._indptr.tolist()
         ramp = np.arange(self.size, dtype=np.int64)
         size, budget = self.size, self.step_budget
-        rotation_cost = 2 * self.tree_depth * self.latency + 3
+        rotation_cost = 2 * self.tree_depth + 3
         trace = self.trace
 
         head = self.initial_head

@@ -772,7 +772,6 @@ class BatchWalk:
     """
 
     __slots__ = ("batch", "size", "sizes", "draws", "step_budget",
-                 "latency",
                  "seg_cap", "success", "fail_code", "steps", "rotations",
                  "extensions", "round", "end_round", "flood_initiator",
                  "plen", "head", "_indptr", "_ip32", "_twins", "_wp32",
@@ -782,7 +781,7 @@ class BatchWalk:
 
     def __init__(self, *, indptr, indices, draws, batch, size,
                  initial_heads, step_budget, tree_depths, start_rounds,
-                 live=None, latency=1, seg_cap=64, sizes=None, twins=None):
+                 live=None, seg_cap=64, sizes=None, twins=None):
         self.batch = batch
         self.size = size
         self.sizes = (np.full(batch, size, dtype=np.int64) if sizes is None
@@ -792,7 +791,6 @@ class BatchWalk:
         budgets = np.asarray(step_budget, dtype=np.int64)
         self._budgets = (np.full(batch, budgets) if budgets.ndim == 0
                          else budgets.copy())
-        self.latency = max(1, latency)
         # Room for one split + one append per pass between compactions.
         self.seg_cap = cap = max(8, int(seg_cap))
 
@@ -856,8 +854,7 @@ class BatchWalk:
         self._live = (np.ones(batch, dtype=bool) if live is None
                       else np.asarray(live, dtype=bool).copy())
 
-        self._rotation_cost = (2 * np.asarray(tree_depths, dtype=np.int64)
-                               * self.latency + 3)
+        self._rotation_cost = 2 * np.asarray(tree_depths, dtype=np.int64) + 3
         started = np.flatnonzero(self._live)
         self._buf[started, 0] = heads[started]
         if size:

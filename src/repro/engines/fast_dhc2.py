@@ -18,20 +18,17 @@ pacing.  Cross-engine tests bound the ratio; scaling *shape* (the
 (:mod:`repro.engines.phase1_replay` — also what the native k-machine
 DHC1/DHC2 engines consume) on the array kernel
 (:mod:`repro.engines.arraywalk`) over a colour-filtered CSR built in
-one vectorised pass; ``_dhc2_fast_py`` keeps the pure-Python walker
-as a test-only parity oracle (formerly registered as
-``engine="fast-py"``, retired after its deprecation release).
-Phase 2 is deterministic and shared verbatim by both.
+one vectorised pass.  Phase 2 is deterministic and shared verbatim
+by the ``fast-batch`` and native k-machine DHC2 engines.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.bounds import diameter_budget, dra_step_budget
+from repro.analysis.bounds import diameter_budget
 from repro.core.dhc2 import default_color_count
 from repro.core.phase1 import colors_at_level, merge_levels
-from repro.engines.fast import _FastWalk, bfs_completion_round, build_min_id_bfs_tree
 from repro.engines.phase1_replay import color_partition, replay_partition_walks
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph, csr_sources
@@ -69,65 +66,10 @@ def _dhc2_fast(
     return _phase2(graph, p1.cycles, colors, p1.phase1_end, p1.steps, "fast")
 
 
-def _dhc2_fast_py(
-    graph: Graph,
-    *,
-    delta: float = 0.5,
-    k: int | None = None,
-    seed: int = 0,
-) -> RunResult:
-    """Algorithm 3 on the pure-Python walker (the kernel's parity oracle)."""
-    n = graph.n
-    colors = k if k is not None else default_color_count(n, delta)
-    seeds = np.random.SeedSequence(seed).spawn(n) if n else []
-    rngs = [np.random.default_rng(s) for s in seeds]
-
-    color_of = np.array([1 + int(rngs[v].integers(colors)) for v in range(n)], dtype=np.int64)
-    classes: dict[int, list[int]] = {c: [] for c in range(1, colors + 1)}
-    for v in range(n):
-        classes[int(color_of[v])].append(v)
-
-    def same_color_neighbors(v: int) -> list[int]:
-        return [int(w) for w in graph.neighbors(v) if color_of[w] == color_of[v]]
-
-    # -- Phase 1: replay every partition walk ------------------------------------
-    elect_budget = diameter_budget(max(3, (2 * n) // max(1, colors)))
-    phase1_start = 1 + elect_budget  # colour round + election deadline
-    cycles: dict[int, list[int]] = {}
-    steps = 0
-    phase1_end = phase1_start
-    for c, members in classes.items():
-        if not members:
-            return _fail(n, colors, phase1_start, "empty-partition", "fast-py")
-        tree = build_min_id_bfs_tree(members, same_color_neighbors, root=min(members))
-        if tree is None:
-            return _fail(n, colors, phase1_start, "partition-disconnected",
-                         "fast-py")
-        finish = bfs_completion_round(tree, same_color_neighbors, phase1_start)
-        walk = _FastWalk(
-            size=len(members),
-            edges_of=lambda v: [(w, 0, 0) for w in same_color_neighbors(v)],
-            rngs=rngs,
-            initial_head=tree.root,
-            step_budget=dra_step_budget(len(members)),
-            tree_depth=max(1, tree.tree_depth),
-            start_round=finish + 1,
-        )
-        walk.run()
-        steps = max(steps, walk.steps)
-        if not walk.success:
-            return _fail(n, colors, walk.end_round, f"walk-{walk.fail_code}",
-                         "fast-py")
-        cycles[c] = walk.cycle()
-        phase1_end = max(phase1_end, walk.end_round + tree.eccentricity(walk.flood_initiator))
-
-    return _phase2(graph, cycles, colors, phase1_end, steps, "fast-py")
-
-
 def _phase2(graph: Graph, cycles: dict[int, list[int]], colors: int,
             phase1_end: int, steps: int, engine: str,
             observer=None) -> RunResult:
-    """Phase 2: deterministic merges (identical for both Phase-1 paths).
+    """Phase 2: deterministic merges, shared by every DHC2 replay.
 
     ``observer(a_cycle, b_cycle, merged)``, if given, sees every
     successful pair merge in execution order without perturbing it —

@@ -21,10 +21,12 @@ the same per-node RNG streams in the same order as
    :class:`VirtualEdge` realizations and the far map keeps the last
    (largest ``phys``) entry, exactly as ``Dhc1Protocol`` builds
    ``_vedges`` / ``_far``.
-4. **Ported virtual walk** — :class:`repro.engines.fast._FastWalk` in
-   the ported mode it was built for, with per-hypernode streams taken
-   from the holders' generators; the min-id virtual BFS tree supplies
-   root/size, and the winning closure edge is captured for stitching.
+4. **Ported virtual walk** — :class:`_PortedWalk`, this module's
+   replay of the ported ``RotationWalk``, with per-hypernode streams
+   taken from the holders' generators; the virtual BFS tree (built by
+   :func:`~repro.engines.arraywalk.build_array_tree` over a CSR of the
+   hypernode colours) supplies the depth the ledger charges, and the
+   winning closure edge is captured for stitching.
 5. **Stitching** (Fig. 1) — each class's entry/exit ports and the
    ``_far`` lookup reproduce every node's ``global_succ``, flattened
    from node 0 like the CONGEST engine.
@@ -41,7 +43,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.bounds import diameter_budget, dra_step_budget
-from repro.engines.fast import _FastWalk, build_min_id_bfs_tree
 from repro.engines.kmachine_engine import (
     DEFAULT_LINK_WORDS,
     _setup,
@@ -68,23 +69,130 @@ _ROLE_U = 0
 _ROLE_V = 1
 
 
-class _PortedWalk(_FastWalk):
-    """The ported walker, additionally remembering the closure edge.
+class _PortedWalk:
+    """Centralised replay of the ported :class:`~repro.core.rotation.RotationWalk`.
 
-    ``RotationWalk`` binds the winning head's successor ports
-    optimistically before the win flood; the centralized walker never
-    needed them, but DHC1's stitching does.
+    ``edges[c]`` lists hypernode ``c``'s virtual-edge triples ``(peer,
+    my_port, peer_port)`` in exactly the order the distributed walk
+    builds them, and ``rngs[c]`` is the same generator stream — those
+    two invariants make it decision-identical to the CONGEST walk.
+    Every hypernode has two ports (its ``u`` and ``v`` endpoints): the
+    head moves only through its free port, a closure must land on the
+    tail's free port, and a hit on an inner node that misses its
+    successor port is a retry.  Rounds are not tracked: the engine
+    charges the virtual walk on its ledger from ``steps`` and
+    ``rotations``.  ``_bound[c] = (pred_port, succ_port)`` and the
+    winning closure edge ``win_edge`` are what the stitching reads.
     """
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, *, edges, rngs, initial_head, step_budget):
+        self.size = len(edges)
+        self.edges = edges
+        self.rngs = rngs
+        self.initial_head = initial_head
+        self.step_budget = step_budget
+
+        self.success = False
+        self.fail_code = 0
+        self.steps = 0
+        self.rotations = 0
+        self.retries = 0
         self.win_edge: tuple[int, int, int, int] | None = None
 
-    def _hit(self, head, target, my_port, their_port):
-        outcome = super()._hit(head, target, my_port, their_port)
-        if outcome[0] == "win":
-            self.win_edge = (head, target, my_port, their_port)
-        return outcome
+        self._dead: set[tuple[int, int, int, int]] = set()  # (owner, peer, my, their)
+        self._path: list[int] = []
+        self._pos: dict[int, int] = {}
+        self._free_port: dict[int, int | None] = {}
+        self._bound: dict[int, tuple[int, int]] = {}  # c -> (pred_port, succ_port)
+
+    def run(self) -> None:
+        from repro.core.rotation import FAIL_BUDGET, FAIL_NO_EDGES, FAIL_TOO_SMALL
+
+        if self.size < 3:
+            self.fail_code = FAIL_TOO_SMALL
+            return
+        head = self.initial_head
+        self._path = [head]
+        self._pos[head] = 0
+        self._free_port[head] = None
+        for step in range(1, self.step_budget + 1):
+            free = self._free_port[head]
+            usable = [e for e in self.edges[head]
+                      if (head, *e) not in self._dead
+                      and (free is None or e[1] == free)]
+            if not usable:
+                self.fail_code = FAIL_NO_EDGES
+                return
+            target, my_port, their_port = usable[
+                int(self.rngs[head].integers(len(usable)))]
+            self.steps = step
+            self._dead.add((head, target, my_port, their_port))
+            self._dead.add((target, head, their_port, my_port))
+            if free is None:
+                self._free_port[head] = 1 - my_port
+            if target not in self._pos:
+                self._grow(head, target, my_port, their_port)
+                head = target
+                continue
+            outcome = self._hit(head, target, my_port, their_port)
+            if outcome == "win":
+                self.success = True
+                self.win_edge = (head, target, my_port, their_port)
+                return
+            if outcome == "retry":
+                self.retries += 1
+            else:
+                self.rotations += 1
+                head = self._path[-1]
+        self.fail_code = FAIL_BUDGET
+
+    def _grow(self, head: int, target: int, my_port: int, their_port: int) -> None:
+        pred_port, _ = self._bound.get(head, (0, 0))
+        self._bound[head] = (pred_port, my_port)
+        self._pos[target] = len(self._path)
+        self._path.append(target)
+        self._bound[target] = (their_port, 0)
+        self._free_port[target] = 1 - their_port
+
+    def _hit(self, head: int, target: int, my_port: int, their_port: int) -> str:
+        """Progress landed on an on-path node: closure, retry, or rotation."""
+        tpos = self._pos[target]
+        tail = tpos == 0
+        t_pred, t_succ = self._bound.get(target, (0, 0))
+        if tail and their_port == self._free_port[target] \
+                and len(self._path) == self.size:
+            self._bound[target] = (their_port, t_succ)
+            return "win"
+        if not tail and their_port != t_succ:
+            return "retry"
+        # Rotation at j = tpos + 1 (1-based): reverse list indices
+        # tpos+1 .. end; the far end becomes the new head.  Port
+        # bookkeeping mirrors RotationWalk._on_rotation.
+        seg = self._path[tpos + 1:]
+        seg.reverse()
+        self._path[tpos + 1:] = seg
+        for offset, v in enumerate(seg):
+            self._pos[v] = tpos + 1 + offset
+        if tail:
+            self._free_port[target] = 1 - their_port
+        self._bound[target] = (t_pred, their_port)
+        degenerate = len(seg) == 1  # the head hit its own predecessor
+        for v in seg:
+            p, s = self._bound.get(v, (0, 0))
+            if v == head and degenerate:
+                self._bound[v] = (my_port, 0)
+                self._free_port[v] = p
+            elif v == head:
+                self._bound[v] = (my_port, p)
+            elif v == seg[-1]:  # the new head: pred-side port freed
+                self._bound[v] = (s, 0)
+                self._free_port[v] = p
+            else:
+                self._bound[v] = (s, p)
+        return "rotate"
+
+    def cycle(self) -> list[int]:
+        return list(self._path)
 
 
 def _dhc1_fail(n: int, colors: int, reason: str) -> RunResult:
@@ -236,10 +344,14 @@ def _dhc1_kmachine(
     ledger.flood(gprofile, 1, times=2)        # barrier 2
 
     # -- virtual BFS + ported walk over G' --------------------------------------
-    vpeers = {c: sorted({e[0] for e in realizations[c]})
-              for c in range(1, colors + 1)}
-    vtree = build_min_id_bfs_tree(list(range(1, colors + 1)),
-                                  lambda c: vpeers[c], root=1)
+    # The virtual CSR has one row per hypernode colour; row 0 is empty.
+    vpeers = [sorted({e[0] for e in realizations[c]})
+              for c in range(1, colors + 1)]
+    vindptr = np.zeros(colors + 2, dtype=np.int64)
+    np.cumsum([len(p) for p in vpeers], out=vindptr[2:])
+    vindices = np.array([h for p in vpeers for h in p], dtype=np.int64)
+    vtree = build_array_tree(vindptr, vindices,
+                             np.arange(1, colors + 1, dtype=np.int64), root=1)
     if vtree is None:
         return _finish(_dhc1_fail(n, colors, "virtual-bfs-unreachable"),
                        ledger)
@@ -248,15 +360,11 @@ def _dhc1_kmachine(
     ledger.uniform_burst(4 * colors, 3,
                          ticks=latency * (2 * vtree.tree_depth + 4))
     vwalk = _PortedWalk(
-        size=colors,
-        edges_of=lambda c: [(h, mp, tp) for h, mp, tp, _f in realizations[c]],
+        edges={c: [(h, mp, tp) for h, mp, tp, _f in realizations[c]]
+               for c in range(1, colors + 1)},
         rngs={c: rngs[int(holder[c])] for c in range(1, colors + 1)},
         initial_head=1,
         step_budget=dra_step_budget(colors),
-        tree_depth=vdepth,
-        start_round=0,
-        ported=True,
-        latency=latency,
     )
     vwalk.run()
     ledger.uniform_burst(3 * max(1, vwalk.steps), 6,

@@ -34,7 +34,7 @@ registry gate)
   the fast engines take for their round counts.
 
 The converted simulator stays registered as the *oracle*, mirroring
-how the reference walkers gate the fast engines.
+how the reference engines gate the fast engines.
 
 Keyword surface (declared per spec in the registry): ``k_machines``
 (machine count, default :data:`DEFAULT_K_MACHINES`; plain ``k`` is an
@@ -116,7 +116,7 @@ def _walk_traffic(ledger: LinkLedger, walk, trace: list,
         ledger.singles(arr[:, 0], arr[:, 1], _PROGRESS_WORDS)
     if walk.rotations:
         ledger.flood(profile, _ROTATE_WORDS, times=walk.rotations)
-        wait = 2 * walk.tree_depth * walk.latency + 2 - profile.tree_depth
+        wait = 2 * walk.tree_depth + 2 - profile.tree_depth
         ledger.quiet(wait * walk.rotations)
     ledger.flood(profile, _FLOOD_WORDS)
     ledger.quiet(max(0, flood_ecc - profile.tree_depth))

@@ -110,11 +110,6 @@ def _builtin_specs() -> list[EngineSpec]:
                    supported_kwargs=("delta", "k", *_KMACHINE_COMMON),
                    parity=("cycle", "steps"),
                    summary="Algorithm 3 on the native k-machine engine"),
-        # The pure-Python walkers that preceded the array kernel served
-        # one release as registered "fast-py" engines; they remain
-        # importable (repro.engines.fast:_dra_fast_py,
-        # repro.engines.fast_dhc2:_dhc2_fast_py) as the parity suite's
-        # test-only oracles but are no longer dispatch targets.
         # -- related-work algorithms (ROADMAP: absorbed as registry entries) ----
         EngineSpec("turau", "congest", "repro.core.turau:run_turau",
                    supported_kwargs=("phase_budget", *_CONGEST_COMMON),

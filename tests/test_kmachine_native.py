@@ -230,6 +230,65 @@ class TestStructuralDrivers:
         assert native.detail["kmachine_rounds"] == 0
 
 
+class TestPortedWalkPin:
+    """DHC1's ported virtual walk reproduces its recorded outcomes.
+
+    Each row was recorded from the DHC1 k-machine engine's virtual
+    walk and holds every walk field the engine reads: outcome, steps,
+    rotations and retries (charged on the ledger), the hypernode order
+    and the winning closure edge (read by the stitching).  Every
+    succeeding row both rotates and retries, so the port bookkeeping
+    is exercised, and two rows strand the head (fail code 1).
+    """
+
+    PINS = [
+        # (n, p, graph seed, k, seed, success, steps, rotations, retries,
+        #  hypernode order, win_edge)
+        (64, 1.0, 3, None, 0, True, 20, 7, 5,
+         [1, 3, 6, 5, 8, 4, 2, 7], (7, 1, 0, 1)),
+        (64, 1.0, 3, None, 5, True, 51, 24, 19,
+         [1, 2, 5, 6, 8, 4, 7, 3], (3, 1, 1, 1)),
+        (100, 1.0, 5, None, 0, True, 37, 15, 12,
+         [1, 2, 7, 9, 6, 4, 10, 5, 3, 8], (8, 1, 1, 1)),
+        (100, 1.0, 5, None, 9, True, 48, 20, 18,
+         [1, 2, 7, 8, 3, 10, 6, 4, 5, 9], (9, 1, 0, 0)),
+        (192, 1.0, 11, None, 2, True, 75, 35, 27,
+         [1, 4, 7, 6, 10, 12, 11, 8, 3, 5, 2, 9, 13], (13, 1, 0, 0)),
+        (192, 1.0, 11, None, 8, True, 99, 47, 39,
+         [1, 10, 11, 13, 8, 4, 9, 5, 3, 7, 12, 6, 2], (2, 1, 0, 1)),
+        (64, 0.8, 100, 4, 0, False, 10, 4, 3, [1, 4, 3, 2], None),
+        (100, 0.8, 102, 5, 2, False, 15, 8, 3, [1, 2, 5, 4, 3], None),
+    ]
+
+    @pytest.mark.parametrize("row", PINS, ids=lambda r: f"n{r[0]}-s{r[4]}")
+    def test_virtual_walk_pin(self, row, monkeypatch):
+        from repro.engines import kmachine_dhc1
+
+        (n, p, gseed, k, seed, success, steps, rotations, retries,
+         order, win_edge) = row
+        walks = []
+
+        class Recording(kmachine_dhc1._PortedWalk):
+            def run(self):
+                super().run()
+                walks.append(self)
+
+        monkeypatch.setattr(kmachine_dhc1, "_PortedWalk", Recording)
+        kwargs = {} if k is None else {"k": k}
+        result = repro.run(gnp_random_graph(n, p, seed=gseed), "dhc1",
+                           engine="kmachine", seed=seed, k_machines=4,
+                           **kwargs)
+        (walk,) = walks
+        assert (walk.success, walk.steps, walk.rotations, walk.retries) == (
+            success, steps, rotations, retries)
+        assert walk.cycle() == order
+        assert walk.win_edge == win_edge
+        assert (result.success, result.steps) == (success, steps)
+        if not success:
+            assert walk.fail_code == 1
+            assert result.detail["fail"] == "virtual-walk-1"
+
+
 class TestLedgerInvariants:
     """Internal consistency of the machine-level accounting."""
 

@@ -36,6 +36,13 @@ class TestRegistryTable:
                 ("turau", "congest"), ("turau", "fast"),
                 ("cre", "sequential"), ("cre", "fast")} <= keys
 
+    def test_engine_kinds_are_exactly_the_supported_six(self):
+        # A retired or misspelt engine name must not linger as a
+        # dispatch target.
+        assert REGISTRY.engine_names() == [
+            "async", "congest", "fast", "fast-batch", "kmachine",
+            "sequential"]
+
     def test_every_convertible_spec_has_a_native_kmachine_entry(self):
         # The native engine mirrors the Conversion Theorem's reach: one
         # kmachine entry per kmachine_convertible congest spec, each
