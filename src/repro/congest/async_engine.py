@@ -276,23 +276,17 @@ class AsyncNetwork(Network):
             self.events.append(("join", self.virtual_time, node))
         self._call(node, self.protocols[node].on_start, self._contexts[node])
 
-    def _call(self, v: int, handler, *args) -> None:
-        # Network._call plus containment, inlined: this runs once per
-        # activation, the engine's hottest path after sends.
-        self._edges_used.clear()
-        try:
-            handler(*args)
-        except Exception as exc:  # noqa: BLE001 — crash-stop the node, not the run
-            # Loss, reordering, and churn can push synchronous
-            # protocols into states they were never written for; the
-            # honest asynchronous reading is a node failure, not a
-            # simulator abort.  Verified readout keeps this safe:
-            # success still requires a checked Hamiltonian cycle.
-            self._protocol_errors.append((v, f"{type(exc).__name__}: {exc}"))
-            self._contexts[v].halted = True
-            if self.events is not None:
-                self.events.append(("error", self.virtual_time, v,
-                                    type(exc).__name__))
+    def _handler_failed(self, v: int, exc: Exception) -> None:
+        # Loss, reordering, and churn can push synchronous protocols
+        # into states they were never written for; the honest
+        # asynchronous reading is a node failure, not a simulator
+        # abort.  Verified readout keeps this safe: success still
+        # requires a checked Hamiltonian cycle.
+        self._protocol_errors.append((v, f"{type(exc).__name__}: {exc}"))
+        self._contexts[v].halt()
+        if self.events is not None:
+            self.events.append(("error", self.virtual_time, v,
+                                type(exc).__name__))
 
     # -- inspection ------------------------------------------------------------
 

@@ -17,8 +17,6 @@ The simulator checks each message against the edge budget at send time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = ["Message", "TAG_BITS", "word_bits", "payload_words", "payload_bits"]
 
 TAG_BITS = 8
@@ -41,9 +39,13 @@ def payload_bits(payload: tuple, n: int) -> int:
     return TAG_BITS + payload_words(payload) * word_bits(n)
 
 
-@dataclass(frozen=True, slots=True)
 class Message:
     """A single CONGEST message.
+
+    A plain slotted value class rather than a frozen dataclass: the
+    engine builds one per delivered message, and a slotted ``__init__``
+    costs well under half of the frozen one.  Messages compare and hash
+    by value; treat them as immutable.
 
     Attributes
     ----------
@@ -54,8 +56,22 @@ class Message:
         ``(kind, *int_fields)`` — see module docstring.
     """
 
-    sender: int
-    payload: tuple
+    __slots__ = ("sender", "payload")
+
+    def __init__(self, sender: int, payload: tuple):
+        self.sender = sender
+        self.payload = payload
+
+    def __eq__(self, other):
+        if other.__class__ is not Message:
+            return NotImplemented
+        return self.sender == other.sender and self.payload == other.payload
+
+    def __hash__(self) -> int:
+        return hash((self.sender, self.payload))
+
+    def __repr__(self) -> str:
+        return f"Message(sender={self.sender!r}, payload={self.payload!r})"
 
     @property
     def kind(self) -> str:

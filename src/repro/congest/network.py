@@ -18,10 +18,12 @@ activity rather than ``n * rounds``.
 
 :class:`Network` is also the shared core of the asynchronous engine
 (:class:`~repro.congest.async_engine.AsyncNetwork` subclasses it): the
-per-node contexts and RNG streams, the send rules and their accounting,
-wake-up validation, activation order, the memory audit, the fault
-adversary and the substrate report live here once.  The subclass swaps
-the round loop for an event queue and keeps only what event time needs.
+per-node contexts and RNG streams, the send rules and their accounting
+(checked and counted in :meth:`Context.send`, whose one engine hook is
+:meth:`Network._post`), wake-up validation, activation order, the
+memory audit, the fault adversary and the substrate report live here
+once.  The subclass swaps the round loop for an event queue and keeps
+only what event time needs.
 """
 
 from __future__ import annotations
@@ -30,14 +32,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.congest.errors import (
-    BandwidthExceededError,
-    DuplicateSendError,
-    NotANeighborError,
-    RoundLimitExceeded,
-)
+from repro.congest.errors import RoundLimitExceeded
 from repro.congest.faults import FaultInjector
-from repro.congest.message import Message, payload_bits, word_bits
+from repro.congest.message import TAG_BITS, Message, word_bits
 from repro.congest.metrics import Metrics
 from repro.congest.model import NetworkModel
 from repro.congest.node import Context, Protocol
@@ -106,10 +103,17 @@ class Network:
         self._check_node_ids()
         self.round_index = 0
         self._word_bits = word_bits(self.n)
-        self._bandwidth_bits = 8 + bandwidth_words * self._word_bits
+        self._bandwidth_bits = TAG_BITS + bandwidth_words * self._word_bits
         self._audit_memory = audit_memory
         self._audit_every = max(1, audit_every)
         self._last_audit = 0
+
+        self._outbox: list[tuple[int, int, tuple]] = []
+        self._edges_used: set[tuple[int, int]] = set()  # current activation
+        #: Live counters behind ``metrics.sent_per_node`` (a list is far
+        #: cheaper to bump than a numpy scalar) and ``_all_halted``.
+        self._sent = [0] * self.n
+        self._halted = 0
 
         seeds = np.random.SeedSequence(seed).spawn(self.n)
         self.protocols: list[Protocol] = []
@@ -120,8 +124,6 @@ class Network:
             self.protocols.append(proto)
             self._contexts.append(ctx)
 
-        self._outbox: list[tuple[int, int, tuple]] = []
-        self._edges_used: set[tuple[int, int]] = set()  # current activation
         self._wakes: dict[int, set[int]] = {}
         self._activations = 0
         self._limited = False
@@ -152,30 +154,9 @@ class Network:
 
     # -- internal API used by Context -----------------------------------------
 
-    def _enqueue(self, src: int, dst: int, payload: tuple) -> None:
-        ctx = self._contexts[src]
-        if not ctx.is_neighbor(dst):
-            raise NotANeighborError(f"node {src} is not adjacent to {dst}")
-        key = (src, dst)
-        if key in self._edges_used:
-            raise DuplicateSendError(
-                f"node {src} sent twice over edge ({src}, {dst}) in round "
-                f"{self.round_index}; pack fields into one message"
-            )
-        bits = payload_bits(payload, self.n)
-        if bits > self._bandwidth_bits:
-            raise BandwidthExceededError(
-                f"message {payload[0]!r} needs {bits} bits but the edge budget "
-                f"is {self._bandwidth_bits} bits"
-            )
-        self._edges_used.add(key)
-        self.metrics.messages += 1
-        self.metrics.bits += bits
-        self.metrics.sent_per_node[src] += 1
-        self._post(src, dst, payload)
-
     def _post(self, src: int, dst: int, payload: tuple) -> None:
-        """Put an accepted message in flight (next round's delivery)."""
+        """Put a message ``Context.send`` accepted in flight (next round's
+        delivery).  The engine's one send hook."""
         self._outbox.append((src, dst, payload))
 
     def _edge_free(self, src: int, dst: int) -> bool:
@@ -211,21 +192,23 @@ class Network:
         self._start()
         self._maybe_audit(force=True)
         self._limited = False
-        while not (self._all_halted() or (until is not None and until(self))):
-            if not self._pending():
-                break  # quiescence: nothing will ever happen again
-            if self._over_budget(max_rounds):
-                self._limited = True
-                break
-            self._step()
-            self._maybe_audit()
-
+        try:
+            while not (self._all_halted() or (until is not None and until(self))):
+                if not self._pending():
+                    break  # quiescence: nothing will ever happen again
+                if self._over_budget(max_rounds):
+                    self._limited = True
+                    break
+                self._step()
+                self._maybe_audit()
+        finally:
+            self.metrics.rounds = self.round_index
+            self.metrics.sent_per_node[:] = self._sent
+        self._maybe_audit(force=True)
         if self._limited and raise_on_limit:
             raise RoundLimitExceeded(
                 f"protocol did not terminate within the watchdog budget "
                 f"(max_rounds={max_rounds})")
-        self.metrics.rounds = self.round_index
-        self._maybe_audit(force=True)
         return self.metrics
 
     def _start(self) -> None:
@@ -251,7 +234,11 @@ class Network:
                       if not adversary.offer(m[0], m[1], delivery_round)]
         inboxes: dict[int, list[Message]] = {}
         for src, dst, payload in outbox:
-            inboxes.setdefault(dst, []).append(Message(src, payload))
+            box = inboxes.get(dst)
+            if box is None:
+                inboxes[dst] = [Message(src, payload)]
+            else:
+                box.append(Message(src, payload))
         self.round_index = delivery_round
         self._activate(inboxes, self._wakes.pop(delivery_round, ()))
 
@@ -261,26 +248,41 @@ class Network:
         Each inbox is sorted by sender, so an instant's schedule does
         not depend on the order its messages arrived in.
         """
-        active = set(inboxes)
-        active.update(wakes)
-        for v in sorted(active):
-            ctx = self._contexts[v]
+        contexts, protocols = self._contexts, self.protocols
+        edges_used = self._edges_used
+        for v in sorted(inboxes.keys() | wakes) if wakes else sorted(inboxes):
+            ctx = contexts[v]
             if ctx.halted:
                 continue
-            inbox = inboxes.get(v, [])
-            inbox.sort(key=_by_sender)
+            inbox = inboxes.get(v)
+            if inbox is None:
+                inbox = []
+            elif len(inbox) > 1:
+                inbox.sort(key=_by_sender)
             self._activations += 1
-            self._call(v, self.protocols[v].on_round, ctx, inbox)
+            # _call, inlined: this runs once per activation.
+            edges_used.clear()
+            try:
+                protocols[v].on_round(ctx, inbox)
+            except Exception as exc:  # noqa: BLE001 — the engine decides
+                self._handler_failed(v, exc)
 
     def _call(self, v: int, handler, *args) -> None:
         """Run one handler of node ``v`` with a fresh per-edge send budget."""
         self._edges_used.clear()
-        handler(*args)
+        try:
+            handler(*args)
+        except Exception as exc:  # noqa: BLE001 — the engine decides
+            self._handler_failed(v, exc)
+
+    def _handler_failed(self, v: int, exc: Exception) -> None:
+        """A handler of node ``v`` raised: the synchronous engine aborts."""
+        raise exc
 
     def _crash(self, node: int, registry: set[int]) -> None:
         """Crash-stop ``node``: the engine never runs a halted node again."""
         registry.add(node)
-        self._contexts[node].halted = True
+        self._contexts[node].halt()
 
     # -- inspection -------------------------------------------------------------
 
@@ -289,7 +291,7 @@ class Network:
         return self._contexts[v]
 
     def _all_halted(self) -> bool:
-        return all(ctx.halted for ctx in self._contexts)
+        return self._halted == self.n
 
     def _maybe_audit(self, *, force: bool = False) -> None:
         if not self._audit_memory:

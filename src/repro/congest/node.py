@@ -24,8 +24,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.congest.errors import HaltedNodeError
-from repro.congest.message import Message
+from repro.congest.errors import (
+    BandwidthExceededError,
+    DuplicateSendError,
+    HaltedNodeError,
+    NotANeighborError,
+)
+from repro.congest.message import TAG_BITS, Message
 from repro.congest.metrics import state_size_words
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -61,7 +66,8 @@ class Protocol(ABC):
 class Context:
     """The node's window onto the network during a simulation."""
 
-    __slots__ = ("_network", "node_id", "neighbors", "_neighbor_set", "rng", "halted")
+    __slots__ = ("_network", "node_id", "neighbors", "_neighbor_set", "rng", "halted",
+                 "_edges_used", "_sent", "_post")
 
     def __init__(self, network: "Network", node_id: int,
                  neighbors: list[int], rng: np.random.Generator):
@@ -71,6 +77,10 @@ class Context:
         self._neighbor_set = frozenset(neighbors)
         self.rng = rng
         self.halted = False
+        # The network's send-frame state, bound once per node.
+        self._edges_used = network._edges_used  # noqa: SLF001
+        self._sent = network._sent  # noqa: SLF001
+        self._post = network._post  # noqa: SLF001
 
     @property
     def n(self) -> int:
@@ -92,10 +102,38 @@ class Context:
         The message is delivered at the start of the next round.  Raises
         if the node is halted, ``dest`` is not a neighbour, the edge was
         already used this round, or the payload exceeds the bit budget.
+
+        This is the whole send frame: the three CONGEST rules and the
+        message/bit/per-node accounting happen here, and the engine's
+        one hook, ``Network._post``, only puts the message in flight.
+        The bit cost is :func:`~repro.congest.message.payload_bits`
+        computed inline from the network's cached word size.
         """
         if self.halted:
             raise HaltedNodeError(f"halted node {self.node_id} tried to send")
-        self._network._enqueue(self.node_id, dest, (kind, *fields))  # noqa: SLF001
+        src = self.node_id
+        if dest not in self._neighbor_set:
+            raise NotANeighborError(f"node {src} is not adjacent to {dest}")
+        net = self._network
+        key = (src, dest)
+        used = self._edges_used
+        if key in used:
+            raise DuplicateSendError(
+                f"node {src} sent twice over edge ({src}, {dest}) in round "
+                f"{net.round_index}; pack fields into one message"
+            )
+        bits = TAG_BITS + len(fields) * net._word_bits  # noqa: SLF001
+        if bits > net._bandwidth_bits:  # noqa: SLF001
+            raise BandwidthExceededError(
+                f"message {kind!r} needs {bits} bits but the edge budget "
+                f"is {net._bandwidth_bits} bits"  # noqa: SLF001
+            )
+        used.add(key)
+        metrics = net.metrics
+        metrics.messages += 1
+        metrics.bits += bits
+        self._sent[src] += 1
+        self._post(src, dest, (kind, *fields))
 
     def edge_free(self, dest: int) -> bool:
         """Whether the edge to ``dest`` is still unused by us this round.
@@ -112,5 +150,12 @@ class Context:
         self._network._schedule_wake(self.node_id, round_index)  # noqa: SLF001
 
     def halt(self) -> None:
-        """Terminate this node permanently (local termination)."""
-        self.halted = True
+        """Terminate this node permanently (local termination).
+
+        Every path that halts a node -- the protocol's own call, a
+        fault-plan or churn crash, an async crash-stop -- comes through
+        here, so the network's live-halted count moves once per node.
+        """
+        if not self.halted:
+            self.halted = True
+            self._network._halted += 1  # noqa: SLF001

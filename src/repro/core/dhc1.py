@@ -43,7 +43,7 @@ from repro.congest.message import Message
 from repro.congest.model import build_network, coerce_network_model
 from repro.congest.node import Context
 from repro.core.phase1 import PartitionedPhase1Protocol
-from repro.core.rotation import RotationWalk, VirtualEdge
+from repro.core.rotation import RotationWalk, VirtualEdge, walk_kinds
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
 from repro.primitives.barrier import Barrier
@@ -54,6 +54,11 @@ __all__ = ["Dhc1Protocol", "run_dhc1", "default_sqrt_colors"]
 
 _ROLE_U = 0  # holder (the paper's u_i, the "incoming" endpoint)
 _ROLE_V = 1
+
+_VWALK_KINDS = walk_kinds("vw")
+#: Progress and retry travel over one specific realization (port pair)
+#: of a virtual edge; every other walk kind may take any.
+_VWALK_PORTED = frozenset((_VWALK_KINDS["p"], _VWALK_KINDS["y"]))
 
 
 def default_sqrt_colors(n: int) -> int:
@@ -233,13 +238,13 @@ class Dhc1Protocol(PartitionedPhase1Protocol):
 
     def _vsend(self, ctx: Context, edge: VirtualEdge, suffix: str, *fields) -> None:
         """Send a walk message over the virtual graph (<= 3 physical hops)."""
-        self._vship(ctx, edge, f"vw.{suffix}", *fields, self.color)
+        self._vship(ctx, edge, _VWALK_KINDS[suffix], *fields, self.color)
 
     def _vsend_bfs(self, ctx: Context, dest_hyper: int, kind: str, *fields) -> None:
         self._vship(ctx, VirtualEdge(dest_hyper), kind, *fields, self.color)
 
     def _vship(self, ctx: Context, edge: VirtualEdge, kind: str, *fields) -> None:
-        if kind.startswith("vw.") and kind.split(".")[1] in ("p", "y"):
+        if kind in _VWALK_PORTED:
             key = (edge.peer, edge.my_port, edge.peer_port)
             far = self._far[key]
             my_port = edge.my_port

@@ -20,7 +20,7 @@ from repro.analysis.bounds import diameter_budget, dra_round_budget, dra_step_bu
 from repro.congest.message import Message
 from repro.congest.model import build_network, coerce_network_model
 from repro.congest.node import Context, Protocol
-from repro.core.rotation import RotationWalk, VirtualEdge
+from repro.core.rotation import RotationWalk, VirtualEdge, walk_kinds
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
 from repro.primitives.bfs import BfsTree
@@ -34,6 +34,8 @@ _STAGE_ELECT = 0
 _STAGE_BFS = 1
 _STAGE_WALK = 2
 _STAGE_DONE = 3
+
+_WALK_KINDS = walk_kinds("rw")
 
 
 class DraProtocol(Protocol, SubMachineHost):
@@ -103,7 +105,7 @@ class DraProtocol(Protocol, SubMachineHost):
             ctx.halt()
 
     def _walk_send(self, ctx: Context, edge: VirtualEdge, suffix: str, *fields: int) -> None:
-        ctx.send(edge.peer, f"rw.{suffix}", *fields, self.node_id)
+        ctx.send(edge.peer, _WALK_KINDS[suffix], *fields, self.node_id)
 
 
 def run_dra(

@@ -24,12 +24,14 @@ from __future__ import annotations
 from repro.analysis.bounds import diameter_budget, dra_step_budget
 from repro.congest.message import Message
 from repro.congest.node import Context, Protocol
-from repro.core.rotation import RotationWalk, VirtualEdge
+from repro.core.rotation import RotationWalk, VirtualEdge, walk_kinds
 from repro.primitives.bfs import BfsTree
 from repro.primitives.floodmin import FloodMin
 from repro.primitives.submachine import SubMachineHost
 
 __all__ = ["PartitionedPhase1Protocol", "color_at_level", "colors_at_level", "merge_levels"]
+
+_WALK_KINDS = walk_kinds("rw")
 
 
 def color_at_level(color1: int, level: int) -> int:
@@ -231,7 +233,7 @@ class PartitionedPhase1Protocol(Protocol, SubMachineHost):
         self.advance_hook(ctx)
 
     def _walk_send(self, ctx: Context, edge: VirtualEdge, suffix: str, *fields: int) -> None:
-        ctx.send(edge.peer, f"rw.{suffix}", *fields, self.node_id)
+        ctx.send(edge.peer, _WALK_KINDS[suffix], *fields, self.node_id)
 
     # -- subclass extension points ------------------------------------------------------
 

@@ -59,6 +59,7 @@ from repro.primitives.submachine import SubMachine
 __all__ = [
     "RotationWalk",
     "VirtualEdge",
+    "walk_kinds",
     "FAIL_NO_EDGES",
     "FAIL_BUDGET",
     "FAIL_TOO_SMALL",
@@ -76,6 +77,18 @@ FAIL_TOO_SMALL = 3
 FAIL_CORRUPT = 4
 
 _NO_PORT = 0
+
+#: The walk's message suffixes (the table in the module docstring).
+_SUFFIXES = ("p", "y", "r", "w", "f")
+
+
+def walk_kinds(prefix: str) -> dict[str, str]:
+    """``suffix -> "<prefix>.<suffix>"`` for a walk named ``prefix``.
+
+    A fabric reads its kind strings from this prebuilt table instead of
+    formatting one per send.
+    """
+    return {suffix: f"{prefix}.{suffix}" for suffix in _SUFFIXES}
 
 
 class VirtualEdge:
@@ -130,7 +143,9 @@ class RotationWalk(SubMachine):
         self.PREFIX = prefix
         self.vid = vid
         self.edges = list(edges)
-        self.tree_neighbors = list(tree_neighbors)
+        # The tree-flood edges, built once: a flood forwards over them on
+        # every rotation.
+        self._tree_edges = [VirtualEdge(peer) for peer in tree_neighbors]
         self.tree_depth = tree_depth
         self.size = size
         self.is_initial_head = is_initial_head
@@ -170,12 +185,14 @@ class RotationWalk(SubMachine):
         self._progress(ctx, 1)
 
     def on_messages(self, ctx: Context, messages: list[Message]) -> None:
+        cut = len(self.PREFIX) + 1  # kinds are "<PREFIX>.<suffix>"
         for message in messages:
             if self.done:
                 return
-            suffix = message.payload[0].rsplit(".", 1)[1]
-            fields = message.payload[1:-1]
-            vsender = message.payload[-1]
+            payload = message.payload
+            suffix = payload[0][cut:]
+            fields = payload[1:-1]
+            vsender = payload[-1]
             if suffix == "p":
                 self._on_progress(ctx, vsender, *fields)
             elif suffix == "y":
@@ -336,13 +353,14 @@ class RotationWalk(SubMachine):
     # -- tree flooding ----------------------------------------------------------------
 
     def _flood(self, ctx: Context, suffix: str, *fields: int) -> None:
-        for peer in self.tree_neighbors:
-            self._send(ctx, VirtualEdge(peer), suffix, *fields)
+        for edge in self._tree_edges:
+            self._send(ctx, edge, suffix, *fields)
 
     def _forward_flood(self, ctx: Context, vsender: int, suffix: str, fields: tuple) -> None:
-        for peer in self.tree_neighbors:
-            if peer != vsender:
-                self._send(ctx, VirtualEdge(peer), suffix, *fields)
+        send = self._send
+        for edge in self._tree_edges:
+            if edge.peer != vsender:
+                send(ctx, edge, suffix, *fields)
 
     # -- termination --------------------------------------------------------------------
 

@@ -99,10 +99,11 @@ class BfsTree(SubMachine):
             self._maybe_report(ctx)
 
     def on_messages(self, ctx: Context, messages: list[Message]) -> None:
-        explores = [m for m in messages if m.kind == self.kind("e")]
-        accepts = [m for m in messages if m.kind == self.kind("a")]
-        dones = [m for m in messages if m.kind == self.kind("d")]
-        commits = [m for m in messages if m.kind == self.kind("c")]
+        explore, accept, done, commit = (self.kind(s) for s in "eadc")
+        explores = [m for m in messages if m.payload[0] == explore]
+        accepts = [m for m in messages if m.payload[0] == accept]
+        dones = [m for m in messages if m.payload[0] == done]
+        commits = [m for m in messages if m.payload[0] == commit]
 
         for message in explores:
             # Any explore shows the sender joined elsewhere: implicit reject.

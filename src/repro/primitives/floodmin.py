@@ -57,8 +57,9 @@ class FloodMin(SubMachine):
     def begin(self, ctx: Context) -> None:
         self._best = ctx.node_id
         self._deadline = ctx.round_index + self.budget
+        kind = self.kind("m")
         for peer in self.peers:
-            ctx.send(peer, self.kind("m"), self._best)
+            ctx.send(peer, kind, self._best)
         self.schedule(ctx, self._deadline)
 
     def on_messages(self, ctx: Context, messages: list[Message]) -> None:
@@ -66,8 +67,9 @@ class FloodMin(SubMachine):
         if best_heard < self._best:
             self._best = best_heard
             if ctx.round_index < self._deadline:
+                kind = self.kind("m")
                 for peer in self.peers:
-                    ctx.send(peer, self.kind("m"), self._best)
+                    ctx.send(peer, kind, self._best)
 
     def on_wake(self, ctx: Context) -> None:
         self.leader = self._best

